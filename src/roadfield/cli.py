@@ -139,8 +139,7 @@ def _out_path(args, name: str) -> Path:
 _SPEED_HEADER = "D,d,mu,fp0,c_kpp,c_star,regime"
 
 
-def _speed_row(params: ModelParams, tol: float) -> str:
-    res = _physical_speed(params, tol)
+def _speed_row(params: ModelParams, res: dispersion.SpeedResult) -> str:
     return ",".join([
         _fmt(params.D), _fmt(params.d), _fmt(params.mu), _fmt(params.f_prime_0),
         _fmt(c_kpp(params)), _fmt(res.c_star), res.regime.value,
@@ -150,7 +149,7 @@ def _speed_row(params: ModelParams, tol: float) -> str:
 def cmd_speed(args) -> int:
     params, knobs = _load_params(args)
     tol = knobs.get("tol", dispersion.DEFAULT_TOL)
-    row = _speed_row(params, tol)
+    row = _speed_row(params, _physical_speed(params, tol))
     text = _SPEED_HEADER + "\n" + row + "\n"
     print(text, end="")
     _out_path(args, "speed.csv").write_text(text, encoding="utf-8")
@@ -172,7 +171,7 @@ def cmd_sweep(args) -> int:
     def one(D: float) -> str:
         p = replace(params, D=D)
         res = _physical_speed(p, tol)
-        return _speed_row(p, tol) + "," + _fmt(res.c_star / math.sqrt(D))
+        return _speed_row(p, res) + "," + _fmt(res.c_star / math.sqrt(D))
 
     # rows are emitted in input order regardless of completion order
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
@@ -191,7 +190,7 @@ def cmd_strip(args) -> int:
         raise ConfigError("strip needs --L <height>")
     norm = normalize_nu(params)
     full = dispersion.critical_speed(norm, tol)
-    strip = dispersion.strip_critical_speed(norm, L, tol)
+    strip = dispersion._strip_speed_below(full, norm, L, tol)
     nu = params.nu
     text = (
         "D,d,mu,fp0,L,c_kpp,c_star_L,c_star\n"

@@ -223,11 +223,28 @@ def alpha_field(c: float, beta: float, params: ModelParams, sign: str) -> float:
     ck = c_kpp(params)
     if c < ck:
         raise DomainError(f"require c >= c_KPP = {ck}, got {c}")
-    disc = c * c - ck * ck - 4.0 * params.d * params.d * beta * beta
-    disc = _clamp_roundoff(disc, c * c)
+    b2 = 4.0 * params.d * params.d * beta * beta
+    disc = _clamp_roundoff(c * c - ck * ck - b2, c * c)
     if disc < 0.0:
         raise DomainError(f"|beta| exceeds beta_kpp(c) at (c={c}, beta={beta})")
-    return (c + s * math.sqrt(disc)) / (2.0 * params.d)
+    upper = c + math.sqrt(disc)
+    if s > 0.0:
+        return upper / (2.0 * params.d)
+    # product of the roots over the upper root: no cancellation at large c
+    return (ck * ck + b2) / (2.0 * params.d * upper)
+
+
+def _lower_field_root(c: float, beta, params: ModelParams):
+    """Lower field root (c - sqrt(disc))/(2d) on an array of b, without cancellation.
+
+    Evaluated as the product of the two roots, (c_KPP^2 + 4 d^2 b^2)/(4 d^2),
+    over the upper root (c + sqrt(disc))/(2d): the difference form loses
+    its digits once c is large (large D).  A negative disc is clamped to 0.
+    """
+    ck2 = c_kpp(params) ** 2
+    b2 = 4.0 * (params.d * np.asarray(beta, dtype=float)) ** 2
+    root = np.sqrt(np.clip(c * c - ck2 - b2, 0.0, None))
+    return (ck2 + b2) / (2.0 * params.d * (c + root))
 
 
 def _clamp_roundoff(disc: float, scale: float) -> float:
@@ -262,12 +279,9 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
 def _gap_values(c: float, beta, params: ModelParams) -> np.ndarray:
     """alpha_road(+) - alpha_field(-) on an array of admissible b (edges clamped)."""
     beta = np.asarray(beta, dtype=float)
-    ck = c_kpp(params)
     disc_r = c * c + 4.0 * params.mu * params.d * params.D * beta / (1.0 + params.d * beta)
-    disc_f = c * c - ck * ck - 4.0 * (params.d * beta) ** 2
     a_road = (c + np.sqrt(np.clip(disc_r, 0.0, None))) / (2.0 * params.D)
-    a_field = (c - np.sqrt(np.clip(disc_f, 0.0, None))) / (2.0 * params.d)
-    return a_road - a_field
+    return a_road - _lower_field_root(c, beta, params)
 
 
 def _gap_and_argmax(c: float, params: ModelParams, n_grid: int = GRID_POINTS) -> tuple[float, float]:
@@ -302,6 +316,24 @@ def curve_gap(c: float, params: ModelParams, n_grid: int = GRID_POINTS) -> float
     return _gap_and_argmax(c, params, n_grid)[0]
 
 
+def _bisect_gap(gap: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Shrink [lo, hi] around the sign change of an increasing gap in c.
+
+    Keeps gap(hi) > 0 >= gap(lo).  Stops at width tol, or earlier when the
+    midpoint rounds onto an end: lo and hi are then adjacent floats, so a
+    tol below the float spacing ends at float resolution, not in a loop.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if gap(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 # --- critical speed -------------------------------------------------------------
 
 
@@ -327,12 +359,7 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
             raise BracketError(
                 f"no curve crossing found up to c={hi}; parameters are inconsistent"
             )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if curve_gap(mid, params) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect_gap(lambda c: curve_gap(c, params), lo, hi, tol)
     c_star = 0.5 * (lo + hi)
     _, b_star = _gap_and_argmax(c_star, params)
     tangency = CurvePoint(
@@ -517,15 +544,11 @@ def _strip_gap_and_argmax(
     The b=0 grid point uses the branch's finite one-sided limit, which is
     what decides whether a root above c_KPP survives at this L.
     """
-    ck = c_kpp(params)
     hi = beta_kpp(c, params)
 
     def gap_arr(b):
-        b = np.asarray(b, dtype=float)
-        disc_f = c * c - ck * ck - 4.0 * (params.d * b) ** 2
         a_road = (c + np.sqrt(np.clip(_strip_disc(c, b, L, params), 0.0, None))) / (2.0 * params.D)
-        a_field = (c - np.sqrt(np.clip(disc_f, 0.0, None))) / (2.0 * params.d)
-        return a_road - a_field
+        return a_road - _lower_field_root(c, b, params)
 
     if hi <= 0.0:
         return float(gap_arr(0.0)), 0.0
@@ -555,11 +578,19 @@ def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL
         raise ValueError("strip threshold is defined for D > 2d only")
     if L <= 0.0:
         raise DomainError(f"strip height must be positive, got {L}")
+    return _strip_speed_below(critical_speed(params, tol), params, L, tol)
+
+
+def _strip_speed_below(full: SpeedResult, params: ModelParams, L: float, tol: float) -> SpeedResult:
+    """Strip threshold bisected below an already solved half-plane ``full = c*``.
+
+    Callers that need both speeds solve c* once and pass it here.
+    """
     ck = c_kpp(params)
     # the certified upper bracket end of c* has a positive half-plane gap,
     # and the strip gap dominates it, so it is a safe upper bracket even when
     # the strip threshold is within bisection error of c*
-    c_hi = critical_speed(params, tol).bracket[1]
+    c_hi = full.bracket[1]
     g_lo, _ = _strip_gap_and_argmax(ck, L, params)
     if g_lo >= 0.0:
         raise NoTangencyError(
@@ -570,13 +601,7 @@ def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL
         raise NoTangencyError(
             f"no sign change of the strip gap on (c_KPP, c*) at L={L}"
         )
-    lo, hi = ck, c_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _strip_gap_and_argmax(mid, L, params)[0] > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect_gap(lambda c: _strip_gap_and_argmax(c, L, params)[0], ck, c_hi, tol)
     c_L = 0.5 * (lo + hi)
     _, b_star = _strip_gap_and_argmax(c_L, L, params)
     tangency = CurvePoint(
@@ -649,12 +674,7 @@ def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
         c_hi *= 2.0
         if c_hi > 2.0**60:
             raise BracketError("could not find a speed above the limiting tangency")
-    while c_hi - c_lo > tol:
-        mid = 0.5 * (c_lo + c_hi)
-        if _limit_gap_and_argmax(mid, params)[0] > 0.0:
-            c_hi = mid
-        else:
-            c_lo = mid
+    c_lo, c_hi = _bisect_gap(lambda c: _limit_gap_and_argmax(c, params)[0], c_lo, c_hi, tol)
     return 0.5 * (c_lo + c_hi)
 
 

@@ -84,6 +84,8 @@ class ModelParams:
     reaction: ReactionFunction = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.D, self.d, self.mu, self.nu, self.f_prime_0))):
+            raise ValueError(f"require finite D, d, mu, nu, f_prime_0; got {self!r}")
         if not (self.d > 0 and self.mu > 0 and self.nu > 0 and self.f_prime_0 > 0):
             raise ValueError(
                 f"require d>0, mu>0, nu>0, f_prime_0>0; got d={self.d}, "

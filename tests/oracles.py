@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import optimize
 
@@ -19,6 +20,11 @@ from roadfield.params import ModelParams, c_kpp
 
 def dense_gap(c: float, params: ModelParams, n: int = 10_000) -> float:
     """Max of (upper road branch - lower field branch) by brute-force sampling."""
+    return float(np.max(_dense_gap_samples(c, params, n)[1]))
+
+
+def _dense_gap_samples(c: float, params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n admissible b and the branch difference at each."""
     d, mu, D = params.d, params.mu, params.D
     ck = c_kpp(params)
     b_road_min = -c * c / (d * (c * c + 4.0 * mu * D))
@@ -29,7 +35,7 @@ def dense_gap(c: float, params: ModelParams, n: int = 10_000) -> float:
     disc_f = c * c - ck * ck - 4.0 * (d * betas) ** 2
     a_road = (c + np.sqrt(np.clip(disc_r, 0.0, None))) / (2.0 * D)
     a_field = (c - np.sqrt(np.clip(disc_f, 0.0, None))) / (2.0 * d)
-    return float(np.max(a_road - a_field))
+    return betas, a_road - a_field
 
 
 def dense_critical_speed(params: ModelParams, tol: float = 1e-8, n_beta: int = 20_000) -> float:
@@ -50,6 +56,34 @@ def dense_critical_speed(params: ModelParams, tol: float = 1e-8, n_beta: int = 2
         else:
             c_lo = mid
     return 0.5 * (c_lo + c_hi)
+
+
+def mp_critical_speed(params: ModelParams, dps: int = 40) -> float:
+    """c* from Newton on the tangency system in dps-digit arithmetic.
+
+    Solves gap(c, b) = 0 and d(gap)/db = 0 with mpmath.findroot, seeded by
+    :func:`dense_critical_speed` and the dense gap's argmax.  The gap is the
+    plain difference form (upper road root minus lower field root); at large
+    D it cancels in double precision, but dps digits leave it exact far
+    beyond float resolution.
+    """
+    c0 = dense_critical_speed(params, tol=1e-6, n_beta=20_000)
+    betas, gaps = _dense_gap_samples(c0, params, 20_000)
+    b0 = float(betas[int(np.argmax(gaps))])
+    with mpmath.workdps(dps):
+        D_, d_, mu_, fp0_ = (mpmath.mpf(x) for x in (params.D, params.d, params.mu,
+                                                     params.f_prime_0))
+
+        def gap(c, b):
+            road = (c + mpmath.sqrt(c * c + 4 * mu_ * d_ * D_ * b / (1 + d_ * b))) / (2 * D_)
+            field = (c - mpmath.sqrt(c * c - 4 * d_ * fp0_ - 4 * d_ * d_ * b * b)) / (2 * d_)
+            return road - field
+
+        c, _ = mpmath.findroot(
+            lambda c, b: [gap(c, b), mpmath.diff(lambda t: gap(c, t), b)],
+            (mpmath.mpf(c0), mpmath.mpf(b0)),
+        )
+        return float(c)
 
 
 def scipy_delta(params: ModelParams) -> float:

@@ -4,7 +4,9 @@ Criteria 1-6 are exact algebraic checks on the dispersion solvers; 7-11 are
 desk-scale simulation measurements with the tolerances pinned below; 12
 records that the underlying statements are asymptotic and these finite
 computations are their agreed surrogates.  Run with ``pytest -s
-tests/test_acceptance.py`` to see the per-criterion lines live.
+tests/test_acceptance.py`` to see the per-criterion lines live.  Criteria
+7-11 carry the ``slow`` marker: ``pytest -m "not slow"`` skips them for a
+fast loop.
 """
 
 import math
@@ -112,6 +114,7 @@ def test_c06_delta_classification():
 # --- simulation-side criteria (7-11) ----------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c07_mass_conservation():
     params = make(1.0)
     grid = rf.build_grid(-40.0, 40.0, 20.0, 0.1, 0.1, params, 0.4)
@@ -123,6 +126,7 @@ def test_c07_mass_conservation():
            f"relative mass drift over t<=5 with f==0: {drift:.3e} <= 1e-6")
 
 
+@pytest.mark.slow
 def test_c08_discrete_comparison_principle():
     params = make(1.0)
     grid = rf.build_grid(-6.0, 6.0, 4.0, 0.5, 0.5, params, 0.4)
@@ -148,6 +152,7 @@ def test_c08_discrete_comparison_principle():
            if ok else f"ordering broken (seed {seed})")
 
 
+@pytest.mark.slow
 def test_c09_long_time_limit():
     params = rf.ModelParams(D=1.0, d=1.0, mu=1.0, nu=1.0)
     grid = rf.build_grid(-40.0, 40.0, 20.0, 0.25, 0.25, params, 0.4)
@@ -171,6 +176,7 @@ def baseline_measurement():
     return params, grid, record, estimate
 
 
+@pytest.mark.slow
 def test_c10_speed_baseline(baseline_measurement):
     params, grid, record, est = baseline_measurement
     rel = abs(est.speed - 2.0) / 2.0
@@ -187,6 +193,7 @@ def test_c10_speed_baseline(baseline_measurement):
            f"dichotomy windows hold: {dichotomy}")
 
 
+@pytest.mark.slow
 def test_c11_speed_enhanced(baseline_measurement):
     params = make(10.0)
     predicted = rf.critical_speed(params, tol=1e-8).c_star

@@ -52,6 +52,14 @@ def test_malformed_config_exits_nonzero_without_output(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["D=nan", "D=inf", "mu=inf", "fp0=nan"])
+def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, override):
+    out_dir = tmp_path / "fresh"
+    assert main(["speed", "--set", override, "--out-dir", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    assert "finite" in capsys.readouterr().err
+
+
 def test_unknown_set_key_rejected(tmp_path):
     assert main(["speed", "--set", "bogus=1", "--out-dir", str(tmp_path)]) == 2
 

@@ -11,6 +11,7 @@ from oracles import (
     dense_critical_speed,
     dense_gap,
     dense_limit_speed,
+    mp_critical_speed,
     scipy_delta,
     strip_prefactor_series,
 )
@@ -209,6 +210,31 @@ def test_critical_speed_monotone_in_D():
     c16 = rf.critical_speed(make(16.0)).c_star
     c64 = rf.critical_speed(make(64.0)).c_star
     assert 2.0 < c4 < c16 < c64
+
+
+def test_critical_speed_large_D_brackets_high_precision_reference():
+    # at D = 1e6 (c* ~ 945) the difference form of the lower field root cancels;
+    # the bracket must still hold the tangency speed solved at 40 digits
+    p = make(1e6)
+    res = rf.critical_speed(p, tol=1e-8)
+    ref = mp_critical_speed(p)
+    lo, hi = res.bracket
+    assert lo <= ref <= hi and hi - lo <= res.tol
+    assert abs(res.c_star - ref) <= res.tol
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p, tol: rf.critical_speed(p, tol).bracket,
+    lambda p, tol: rf.strip_critical_speed(p, 20.0, tol).bracket,
+])
+def test_tiny_tol_ends_at_adjacent_floats(solve):
+    lo, hi = solve(make(4.0), 1e-300)
+    assert lo < hi and np.nextafter(lo, math.inf) == hi
+
+
+def test_limit_speed_tiny_tol_ends_at_float_resolution():
+    c = rf.limit_speed(make(1.0), tol=1e-300)
+    assert c == pytest.approx(rf.limit_speed(make(1.0), tol=1e-10), abs=1e-10)
 
 
 def test_critical_speed_continuous_across_threshold():

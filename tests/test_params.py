@@ -40,6 +40,14 @@ def test_params_validation():
     assert rf.ModelParams(D=0, d=1, mu=1).D == 0.0
 
 
+@pytest.mark.parametrize("field", ["D", "d", "mu", "nu", "f_prime_0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    kwargs = {"D": 1.0, "d": 1.0, "mu": 1.0, "nu": 1.0, "f_prime_0": 1.0, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        rf.ModelParams(**kwargs)
+
+
 def test_default_reaction_is_matching_logistic():
     p = rf.ModelParams(D=1, d=1, mu=1, f_prime_0=3.0)
     assert p.reaction.name == "logistic"
@@ -168,6 +176,12 @@ def test_parse_config_custom_reaction_rejected():
 def test_parse_config_invalid_values_rejected():
     with pytest.raises(ConfigError):
         rf.parse_config_text("d=0\n")
+
+
+@pytest.mark.parametrize("text", ["D=nan\n", "D=inf\n", "mu=inf\n", "fp0=-inf\n"])
+def test_parse_config_non_finite_rejected(text):
+    with pytest.raises(ConfigError, match="finite"):
+        rf.parse_config_text(text)
 
 
 def test_parse_config_missing_equals():

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import roadfield as rf
+from roadfield import simulate
 from roadfield.errors import (
     BlowUpError,
     CflViolationError,
@@ -300,6 +304,103 @@ def test_run_validates_arguments():
         rf.run(P1, g, rf.InitialDatum.compact_bump(), t_end=-1.0)
     with pytest.raises(ValueError):
         rf.run(P1, g, rf.InitialDatum.compact_bump(), t_end=1.0, snapshot_every=0)
+
+
+# --- mirror fold ---------------------------------------------------------------------
+
+
+def _advanced_widths(monkeypatch) -> list[int]:
+    """Record the number of columns each kernel call of run() advances."""
+    widths: list[int] = []
+    kernel = simulate._advance
+
+    def spy(u, *args):
+        widths.append(u.shape[0])
+        return kernel(u, *args)
+
+    monkeypatch.setattr(simulate, "_advance", spy)
+    return widths
+
+
+def _iterate_step(params, grid, datum, n_steps, snapshot_every, **kw):
+    state = rf.init_state(grid, datum)
+    masses = [rf.total_mass(state, grid)]
+    for k in range(1, n_steps + 1):
+        state = rf.step(state, params, grid, **kw)
+        if k % snapshot_every == 0 or k == n_steps:
+            masses.append(rf.total_mass(state, grid))
+    return state, np.asarray(masses)
+
+
+@pytest.mark.parametrize("reaction", ["logistic", None])
+@pytest.mark.parametrize("center, folded", [(0.0, True), (1.5, False)])
+def test_run_equals_iterated_step_bit_for_bit(monkeypatch, reaction, center, folded):
+    params = rf.ModelParams(D=4.0, d=1.0, mu=1.1, nu=0.9, f_prime_0=0.95)
+    grid = rf.build_grid(-12.0, 12.0, 6.0, 0.25, 0.25, params, 0.4)
+    datum = rf.InitialDatum.compact_bump(center=center, amplitude_u=0.5)
+    kw = {} if reaction == "logistic" else {"reaction": None}
+    widths = _advanced_widths(monkeypatch)
+    rec = rf.run(params, grid, datum, t_end=150 * grid.dt, snapshot_every=20, **kw)
+    assert set(widths) == {grid.nx // 2 + 1 if folded else grid.nx}
+    state, masses = _iterate_step(params, grid, datum, 150, 20, **kw)
+    assert np.array_equal(rec.final_state.u, state.u)
+    assert np.array_equal(rec.final_state.v, state.v)
+    assert np.array_equal(rec.mass, masses)
+    last_u = rec.road_profile_snapshots[-1][1]
+    assert last_u.shape == (grid.nx,) and np.array_equal(last_u, state.u)
+    assert np.array_equal(rec.field_trace_snapshots[-1][1], state.v[:, 0])
+
+
+def test_even_nx_runs_the_full_domain(monkeypatch):
+    grid = rf.Grid(x_min=-10.0, x_max=10.0, y_max=5.0, nx=40, ny=11, dt=0.02)
+    widths = _advanced_widths(monkeypatch)
+    rec = rf.run(P1, grid, rf.InitialDatum.compact_bump(), t_end=10 * grid.dt)
+    assert set(widths) == {grid.nx}
+    assert rec.final_state.u.shape == (grid.nx,)
+
+
+def test_folded_blowup_names_the_same_step():
+    g = small_grid()
+    angry = rf.ReactionFunction(lambda s: 50.0 * s, f_prime_0=1.0)
+    with pytest.raises(BlowUpError) as folded:
+        rf.run(P1, g, rf.InitialDatum.compact_bump(), t_end=5.0, reaction=angry)
+    state = rf.init_state(g, rf.InitialDatum.compact_bump())
+    cap = simulate._blowup_cap(state.u, state.v, P1)
+    with pytest.raises(BlowUpError):
+        for k in range(1, 1000):
+            state = rf.step(state, P1, g, reaction=angry, max_value=cap)
+    assert folded.value.step == k
+
+
+_half_u = arrays(np.float64, st.integers(2, 9), elements=st.floats(0.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    half_u=_half_u,
+    ny=st.integers(3, 7),
+    D=st.floats(0.0, 20.0),
+    d=st.floats(0.1, 3.0),
+    mu=st.floats(0.1, 3.0),
+    nu=st.floats(0.1, 3.0),
+    with_reaction=st.booleans(),
+)
+def test_step_maps_mirror_symmetric_states_to_symmetric_states(
+    data, half_u, ny, D, d, mu, nu, with_reaction
+):
+    params = rf.ModelParams(D=D, d=d, mu=mu, nu=nu)
+    half_v = data.draw(arrays(np.float64, (half_u.size, ny), elements=st.floats(0.0, 2.0)))
+    u, v = simulate._unfold(half_u), simulate._unfold(half_v)
+    nx = u.size
+    probe = rf.Grid(x_min=-0.5 * (nx - 1), x_max=0.5 * (nx - 1), y_max=0.3 * (ny - 1),
+                    nx=nx, ny=ny, dt=1.0)
+    grid = rf.Grid(x_min=probe.x_min, x_max=probe.x_max, y_max=probe.y_max,
+                   nx=nx, ny=ny, dt=rf.cfl_dt(probe, params, 0.9))
+    out = rf.step(rf.FieldState(t=0.0, u=u, v=v), params, grid,
+                  reaction=params.reaction if with_reaction else None)
+    assert np.array_equal(out.u, out.u[::-1])
+    assert np.array_equal(out.v, out.v[::-1])
 
 
 # --- CSV output -----------------------------------------------------------------------
