@@ -12,17 +12,14 @@ Parameters come from a flat key=value config file (keys D, d, mu, nu, fp0,
 reaction), modified by ``--set key=value`` overrides applied last; presets
 sit between the two.  Every command is deterministic given its inputs and
 rewrites its output files identically; numbers are printed with 17
-significant digits so outputs diff bit-exactly.  ROADFIELD_THREADS caps the
-sweep worker count (0 = auto).
+significant digits so outputs diff bit-exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -117,17 +114,6 @@ def _physical_speed(params: ModelParams, tol: float) -> dispersion.SpeedResult:
                    bracket=(nu * res.bracket[0], nu * res.bracket[1]), tol=nu * res.tol)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ROADFIELD_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"ROADFIELD_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError("ROADFIELD_THREADS must be >= 0")
-    return n or (os.cpu_count() or 1)
-
-
 def _out_path(args, name: str) -> Path:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,9 +159,7 @@ def cmd_sweep(args) -> int:
         res = _physical_speed(p, tol)
         return _speed_row(p, res) + "," + _fmt(res.c_star / math.sqrt(D))
 
-    # rows are emitted in input order regardless of completion order
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(one, d_list))
+    rows = [one(D) for D in d_list]
     text = _SPEED_HEADER + ",c_star_over_sqrtD\n" + "\n".join(rows) + "\n"
     print(text, end="")
     _out_path(args, "sweep.csv").write_text(text, encoding="utf-8")
@@ -285,8 +269,10 @@ def cmd_simulate(args) -> int:
     datum = simulate.InitialDatum.compact_bump()
     reaction = None if preset.reaction_off else params.reaction
 
+    substeps = simulate.road_substeps(grid, params)
     print(f"# preset={preset.name} grid {grid.nx}x{grid.ny} dt={_fmt(grid.dt)} "
-          f"steps={int(round(t_end / grid.dt))}")
+          f"steps={int(round(t_end / grid.dt))} road_substeps={substeps} "
+          f"field_dt={_fmt(substeps * grid.dt)}")
     print(f"# dispersion prediction: c_kpp={_fmt(c_kpp(params))} "
           f"c_star={_fmt(prediction.c_star)} ({prediction.regime.value})")
     try:

@@ -8,12 +8,25 @@ discretised with a second-order ghost value
     v[i,-1] = v[i,1] + (2*dy/d) * (mu*u[i] - nu*v[i,0])
 
 so the j=0 row uses the same 5-point stencil as the interior.  The update is
-forward Euler; under the :func:`cfl_dt` bound every stencil weight is
-nonnegative, which makes the map monotone: componentwise-ordered states stay
-ordered, nonnegative data stay nonnegative, and the pair (nu/mu, 1) is an
-exact fixed point.  With the reaction switched off the ghost discretisation
-balances road and field exchange exactly, so trapezoidal total mass is
-conserved to rounding.
+forward Euler.  :func:`cfl_dt` bounds dt by one term per loss from a
+stencil's centre weight: road diffusion dx^2/(2D), field diffusion
+1/(2d(1/dx^2+1/dy^2)), the road row's exchange loss dy/(2nu) and the
+reaction 1/(mu+nu+f'(0)), so each loss is at most ``safety`` (0.4 by
+default) of the unit weight.  With every weight nonnegative the map is
+monotone: componentwise-ordered states stay ordered, nonnegative data stay
+nonnegative, and the pair (nu/mu, 1) is an exact fixed point.
+With the reaction switched off the ghost discretisation balances road and
+field exchange exactly, so trapezoidal total mass is conserved to rounding.
+
+Multirate road.  For D > 2d the road term dx^2/(2D) binds and falls like
+1/D, while the 2D field update is the expensive one.  :func:`run` therefore
+advances the road k = :func:`road_substeps` times by dt against the frozen
+trace v(x, 0), then the field once by k*dt, with the exchange ghost fed the
+mean of the road states the substeps started from.  The road gains exactly
+what the field loses, each substep keeps the nonnegative weights of a
+single step, and k = 1 (whenever the road term does not bind) is the plain
+single-rate update bit for bit.  Record times, snapshots and blow-up steps
+still count grid steps of dt: a field step never spans a snapshot.
 
 Both Laplacians are evaluated in the mirror-symmetric form
 (w[i+1] + w[i-1]) - w[i] - w[i], the walls with their mirror ghosts as
@@ -50,6 +63,7 @@ __all__ = [
     "RunRecord",
     "build_grid",
     "cfl_dt",
+    "road_substeps",
     "init_state",
     "step",
     "run",
@@ -102,22 +116,51 @@ class Grid:
         return np.linspace(0.0, self.y_max, self.ny)
 
 
+def _cfl_terms(grid: Grid, params: ModelParams) -> dict[str, float]:
+    """Upper bounds on dt at safety 1, one per loss from a stencil's centre weight.
+
+    field: 1/(2d(1/dx^2+1/dy^2)), the field's 5-point diffusion;
+    exchange: dy/(2nu), the road row's extra loss 2*dt*nu/dy through the
+    exchange ghost; reaction: 1/(mu+nu+f'(0)); road: dx^2/(2D), the road's
+    3-point diffusion (absent when D=0).  Only the road term concerns the
+    road update alone, which is what lets :func:`run` sub-cycle it.
+    """
+    dx2, dy2 = grid.dx**2, grid.dy**2
+    terms = {
+        "field": 1.0 / (2.0 * params.d * (1.0 / dx2 + 1.0 / dy2)),
+        "exchange": grid.dy / (2.0 * params.nu),
+        "reaction": 1.0 / (params.mu + params.nu + params.f_prime_0),
+    }
+    if params.D > 0.0:
+        terms["road"] = dx2 / (2.0 * params.D)
+    return terms
+
+
 def cfl_dt(grid: Grid, params: ModelParams, safety: float) -> float:
     """Largest stable forward-Euler step, scaled by ``safety``.
 
-    safety * min( dx^2/(2D),  1/(2d(1/dx^2+1/dy^2)),  1/(mu+nu+f'(0)) );
+    safety * min( dx^2/(2D),  1/(2d(1/dx^2+1/dy^2)),  dy/(2nu),  1/(mu+nu+f'(0)) );
     the road-diffusion term is dropped when D=0.
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety must be in (0, 1], got {safety}")
-    dx2, dy2 = grid.dx**2, grid.dy**2
-    terms = [
-        1.0 / (2.0 * params.d * (1.0 / dx2 + 1.0 / dy2)),
-        1.0 / (params.mu + params.nu + params.f_prime_0),
-    ]
-    if params.D > 0.0:
-        terms.append(dx2 / (2.0 * params.D))
-    return safety * min(terms)
+    return safety * min(_cfl_terms(grid, params).values())
+
+
+def road_substeps(grid: Grid, params: ModelParams) -> int:
+    """Road steps of grid.dt per field step in :func:`run`.
+
+    floor(field-side bound / full bound), where the field-side bound leaves
+    out the road-diffusion term: the field step k*dt then sits as far under
+    its own bound as dt sits under the full one.  It is 1 unless the
+    road-diffusion term binds.
+    """
+    terms = _cfl_terms(grid, params)
+    full = min(terms.values())
+    field_side = min(b for name, b in terms.items() if name != "road")
+    # the ratio of two rounded bounds can land just under an integer (D=1000,
+    # d=1, dx=dy=0.1 gives 499.99999999999994): within 1e-9 it is that integer
+    return max(1, math.floor(field_side / full * (1.0 + 1e-9)))
 
 
 def build_grid(
@@ -256,6 +299,8 @@ class _StepWork:
         self.t1 = np.empty((nx, ny))
         self.t2 = np.empty((nx, ny))
         self.lap_u = np.empty(nx)
+        self.u_mid = np.empty(nx)
+        self.u_sum = np.empty(nx)
 
 
 def _advance(
@@ -269,26 +314,46 @@ def _advance(
     dy: float,
     reaction: ReactionFunction | None,
     work: _StepWork,
+    substeps: int = 1,
 ) -> None:
-    """One forward-Euler update of (u, v) into (out_u, out_v).
+    """Advance (u, v) by substeps*dt into (out_u, out_v).
 
-    The spacings come in explicitly, not from a Grid, so a folded run
-    steps its half domain with the full grid's dt, dx and dy bit for bit.
+    The road takes ``substeps`` forward-Euler steps of dt against the frozen
+    trace v[:, 0]; the field then takes one step of substeps*dt whose
+    exchange ghost sees the mean of the road states those substeps started
+    from, so the road gains exactly what the field loses.  With substeps=1
+    this is one plain forward-Euler update.  The spacings come in
+    explicitly, not from a Grid, so a folded run steps its half domain with
+    the full grid's dt, dx and dy bit for bit.
     """
     dx2, dy2 = dx**2, dy**2
     D, d, mu, nu = params.D, params.d, params.mu, params.nu
     v0 = v[:, 0]
 
-    # road: 3-point Laplacian in x, mirror ghosts at both ends
+    # road: 3-point Laplacian in x, mirror ghosts at both ends; the substeps
+    # alternate between u_mid and out_u so that the last one lands in out_u
     lap_u = work.lap_u
-    np.add(u[2:], u[:-2], out=lap_u[1:-1])
-    lap_u[0] = u[1] + u[1]
-    lap_u[-1] = u[-2] + u[-2]
-    lap_u -= u
-    lap_u -= u
-    out_u[:] = u
-    out_u += (dt * D / dx2) * lap_u
-    out_u += dt * (nu * v0 - mu * u)
+    u_bar, field_dt = u, dt
+    if substeps > 1:
+        u_bar = work.u_sum
+        u_bar[:] = u
+    src = u
+    for s in range(substeps):
+        if s > 0:
+            u_bar += src
+        dst = out_u if (substeps - s) % 2 == 1 else work.u_mid
+        np.add(src[2:], src[:-2], out=lap_u[1:-1])
+        lap_u[0] = src[1] + src[1]
+        lap_u[-1] = src[-2] + src[-2]
+        lap_u -= src
+        lap_u -= src
+        dst[:] = src
+        dst += (dt * D / dx2) * lap_u
+        dst += dt * (nu * v0 - mu * src)
+        src = dst
+    if substeps > 1:
+        u_bar /= substeps
+        field_dt = substeps * dt
 
     # field: ghost padding (mirrors laterally and on top, exchange flux below)
     pad = work.pad
@@ -296,20 +361,20 @@ def _advance(
     pad[0, 1:-1] = v[1, :]
     pad[-1, 1:-1] = v[-2, :]
     pad[1:-1, -1] = v[:, -2]
-    pad[1:-1, 0] = v[:, 1] + (2.0 * dy / d) * (mu * u - nu * v0)
+    pad[1:-1, 0] = v[:, 1] + (2.0 * dy / d) * (mu * u_bar - nu * v0)
 
     t1, t2 = work.t1, work.t2
     np.add(pad[2:, 1:-1], pad[:-2, 1:-1], out=t1)
     t1 -= v
     t1 -= v
-    t1 *= dt * d / dx2
+    t1 *= field_dt * d / dx2
     np.add(pad[1:-1, 2:], pad[1:-1, :-2], out=t2)
     t2 -= v
     t2 -= v
-    t2 *= dt * d / dy2
+    t2 *= field_dt * d / dy2
     t1 += t2
     if reaction is not None:
-        t1 += dt * np.asarray(reaction(v))
+        t1 += field_dt * np.asarray(reaction(v))
     np.add(v, t1, out=out_v)
 
 
@@ -372,7 +437,10 @@ def run(
 
     A datum that is exactly mirror-symmetric on a grid with odd nx is
     integrated on x >= 0 only (see the module docstring); the record is
-    bit-identical to the full-domain one.
+    bit-identical to the full-domain one.  When the road-diffusion term
+    binds the CFL bound, each field step of up to :func:`road_substeps`
+    grid steps sub-cycles the road (see the module docstring); otherwise
+    the run is the iterated single-rate :func:`step`, bit for bit.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
@@ -394,6 +462,7 @@ def run(
     u_next, v_next = np.empty_like(u_prev), np.empty_like(v_prev)
     work = _StepWork(u_prev.shape[0], grid.ny)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
+    substeps = road_substeps(grid, params)
 
     times: list[float] = []
     mass: list[float] = []
@@ -410,12 +479,16 @@ def run(
         trace_snaps.append((t, v[:, 0].copy()))
 
     record(0, u_prev, v_prev)
-    for k in range(1, n_steps + 1):
-        _advance(u_prev, v_prev, u_next, v_next, params, dt, dx, dy, f, work)
-        m = max(float(u_next.max()), float(v_next.max()))
-        if not m <= cap:
+    k = 0
+    while k < n_steps:
+        # one field step spans m grid steps, never past a snapshot or the end
+        m = min(substeps, n_steps - k, snapshot_every - k % snapshot_every)
+        _advance(u_prev, v_prev, u_next, v_next, params, dt, dx, dy, f, work, m)
+        k += m
+        top = max(float(u_next.max()), float(v_next.max()))
+        if not top <= cap:
             raise BlowUpError(
-                f"blow-up at step {k} (t={k * grid.dt}): max value {m} exceeds cap {cap}",
+                f"blow-up at step {k} (t={k * grid.dt}): max value {top} exceeds cap {cap}",
                 step=k,
                 t=k * grid.dt,
             )

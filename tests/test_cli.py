@@ -75,8 +75,7 @@ def test_speed_output_is_deterministic(tmp_path):
 # --- sweep ---------------------------------------------------------------------------
 
 
-def test_sweep_table(tmp_path, monkeypatch):
-    monkeypatch.setenv("ROADFIELD_THREADS", "2")
+def test_sweep_table(tmp_path):
     assert main(["sweep", "--D-list", "1,2,4,16,64,256,1024",
                  "--out-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -156,10 +155,23 @@ def test_simulate_kpp_preset_small(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "c_star=2" in out
+    assert "road_substeps=1 field_dt=" in out
     assert (tmp_path / "mass.csv").exists()
     assert (tmp_path / "fronts.csv").exists()
     speed_line = (tmp_path / "speed.csv").read_text().splitlines()[1]
     assert float(speed_line.split(",")[0]) > 0.0
+
+
+def test_simulate_enhanced_preset_reports_road_substeps(tmp_path, capsys):
+    code = main(["simulate", "--preset", "enhanced", "--out-dir", str(tmp_path),
+                 "--set", "t_end=20", "--set", "x_min=-80", "--set", "x_max=80",
+                 "--set", "y_max=5", "--set", "dx=0.5", "--set", "dy=0.5",
+                 "--set", "snapshot_every=40"])
+    assert code == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    # D=10, dx=dy=0.5: road bound 0.0125 against the field's 0.0625
+    assert header == ("# preset=enhanced grid 321x11 dt=0.005000000000000001 steps=4000 "
+                      "road_substeps=5 field_dt=0.025000000000000005")
 
 
 def test_simulate_unknown_preset(tmp_path):
@@ -202,6 +214,13 @@ def test_validate_suites_flag_bad_reaction():
     assert by_name["check_kpp"].value > 0.0
 
 
-def test_env_thread_cap_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("ROADFIELD_THREADS", "nope")
-    assert main(["sweep", "--D-list", "1,2", "--out-dir", str(tmp_path)]) == 2
+@pytest.mark.parametrize("nu", ["4", "8"])
+def test_validate_ordering_holds_under_strong_exchange(tmp_path, capsys, nu):
+    # the road row's field centre weight loses 2*dt*nu/dy through the exchange
+    # ghost; without the dy/(2nu) CFL term it goes negative here
+    main(["validate", "--out-dir", str(tmp_path), "--set", "d=0.5", "--set", f"nu={nu}",
+          "--set", "seeds=2", "--set", "steps=20"])
+    assert "PASS ordering" in capsys.readouterr().out
+    rows = dict(line.split(",", 1) for line in
+                (tmp_path / "validate.csv").read_text().splitlines()[1:])
+    assert rows["ordering"].startswith("true,")

@@ -309,17 +309,17 @@ def test_run_validates_arguments():
 # --- mirror fold ---------------------------------------------------------------------
 
 
-def _advanced_widths(monkeypatch) -> list[int]:
-    """Record the number of columns each kernel call of run() advances."""
-    widths: list[int] = []
+def _spy_advance(monkeypatch) -> list[tuple[int, int]]:
+    """Record (columns advanced, road substeps) for each kernel call of run()."""
+    calls: list[tuple[int, int]] = []
     kernel = simulate._advance
 
-    def spy(u, *args):
-        widths.append(u.shape[0])
-        return kernel(u, *args)
+    def spy(u, v, out_u, out_v, params, dt, dx, dy, reaction, work, substeps=1):
+        calls.append((u.shape[0], substeps))
+        return kernel(u, v, out_u, out_v, params, dt, dx, dy, reaction, work, substeps)
 
     monkeypatch.setattr(simulate, "_advance", spy)
-    return widths
+    return calls
 
 
 def _iterate_step(params, grid, datum, n_steps, snapshot_every, **kw):
@@ -335,13 +335,15 @@ def _iterate_step(params, grid, datum, n_steps, snapshot_every, **kw):
 @pytest.mark.parametrize("reaction", ["logistic", None])
 @pytest.mark.parametrize("center, folded", [(0.0, True), (1.5, False)])
 def test_run_equals_iterated_step_bit_for_bit(monkeypatch, reaction, center, folded):
-    params = rf.ModelParams(D=4.0, d=1.0, mu=1.1, nu=0.9, f_prime_0=0.95)
+    # D = 1.5 < dx^2 / (2 * field bound): the road does not bind, so run()
+    # takes one grid step per kernel call and must match step() exactly
+    params = rf.ModelParams(D=1.5, d=1.0, mu=1.1, nu=0.9, f_prime_0=0.95)
     grid = rf.build_grid(-12.0, 12.0, 6.0, 0.25, 0.25, params, 0.4)
     datum = rf.InitialDatum.compact_bump(center=center, amplitude_u=0.5)
     kw = {} if reaction == "logistic" else {"reaction": None}
-    widths = _advanced_widths(monkeypatch)
+    calls = _spy_advance(monkeypatch)
     rec = rf.run(params, grid, datum, t_end=150 * grid.dt, snapshot_every=20, **kw)
-    assert set(widths) == {grid.nx // 2 + 1 if folded else grid.nx}
+    assert set(calls) == {(grid.nx // 2 + 1 if folded else grid.nx, 1)}
     state, masses = _iterate_step(params, grid, datum, 150, 20, **kw)
     assert np.array_equal(rec.final_state.u, state.u)
     assert np.array_equal(rec.final_state.v, state.v)
@@ -353,9 +355,9 @@ def test_run_equals_iterated_step_bit_for_bit(monkeypatch, reaction, center, fol
 
 def test_even_nx_runs_the_full_domain(monkeypatch):
     grid = rf.Grid(x_min=-10.0, x_max=10.0, y_max=5.0, nx=40, ny=11, dt=0.02)
-    widths = _advanced_widths(monkeypatch)
+    calls = _spy_advance(monkeypatch)
     rec = rf.run(P1, grid, rf.InitialDatum.compact_bump(), t_end=10 * grid.dt)
-    assert set(widths) == {grid.nx}
+    assert {width for width, _ in calls} == {grid.nx}
     assert rec.final_state.u.shape == (grid.nx,)
 
 
@@ -401,6 +403,144 @@ def test_step_maps_mirror_symmetric_states_to_symmetric_states(
                   reaction=params.reaction if with_reaction else None)
     assert np.array_equal(out.u, out.u[::-1])
     assert np.array_equal(out.v, out.v[::-1])
+
+
+# --- multirate road -------------------------------------------------------------------
+
+P10 = rf.ModelParams(D=10.0, d=1.0, mu=1.1, nu=0.9, f_prime_0=0.95)
+
+
+def fast_road_grid(params=P10, dx=0.25):
+    # road bound dx^2/20 is a fifth of the field bound 1/(2(1/dx^2+1/dy^2))
+    return rf.build_grid(-12.0, 12.0, 6.0, dx, dx, params, 0.4)
+
+
+@pytest.mark.parametrize("D, dx, expected", [
+    (0.0, 0.5, 1), (1.0, 0.5, 1), (4.0, 0.25, 2), (10.0, 0.5, 5), (10.0, 0.25, 5),
+    (100.0, 0.5, 50), (1000.0, 0.1, 500),
+])
+def test_road_substeps(D, dx, expected):
+    params = rf.ModelParams(D=D, d=1.0, mu=1.0)
+    grid = rf.build_grid(-30.0, 30.0, 6.0, dx, dx, params, 0.4)
+    assert simulate.road_substeps(grid, params) == expected
+
+
+def test_cfl_dt_includes_the_exchange_term():
+    # nu = 4 on a dy = 0.5 grid: the road row loses 2*dt*nu/dy through the ghost
+    g = rf.Grid(x_min=-10.0, x_max=10.0, y_max=5.0, nx=41, ny=11, dt=1.0)
+    params = rf.ModelParams(D=1.0, d=0.5, mu=1.0, nu=4.0)
+    assert rf.cfl_dt(g, params, 0.4) == pytest.approx(0.4 * 0.5 / 8.0, abs=1e-15)
+    assert simulate.road_substeps(g, params) == 1
+
+
+def test_multirate_fold_equals_full_domain_bit_for_bit(monkeypatch):
+    grid = fast_road_grid()
+    datum = rf.InitialDatum.compact_bump(amplitude_u=0.5)
+    calls = _spy_advance(monkeypatch)
+    folded = rf.run(P10, grid, datum, t_end=1.0, snapshot_every=40)
+    monkeypatch.setattr(simulate, "_is_mirror_symmetric", lambda u, v: False)
+    full = rf.run(P10, grid, datum, t_end=1.0, snapshot_every=40)
+    widths = {width for width, _ in calls}
+    assert widths == {grid.nx // 2 + 1, grid.nx}
+    assert max(m for _, m in calls) == 5
+    assert np.array_equal(folded.times, full.times)
+    assert np.array_equal(folded.mass, full.mass)
+    for (_, a), (_, b) in zip(folded.road_profile_snapshots, full.road_profile_snapshots):
+        assert np.array_equal(a, b)
+    for (_, a), (_, b) in zip(folded.field_trace_snapshots, full.field_trace_snapshots):
+        assert np.array_equal(a, b)
+    assert np.array_equal(folded.final_state.u, full.final_state.u)
+    assert np.array_equal(folded.final_state.v, full.final_state.v)
+
+
+def test_multirate_conserves_mass_without_reaction():
+    params = rf.ModelParams(D=10.0, d=1.0, mu=1.0, nu=1.0)
+    grid = rf.build_grid(-15.0, 15.0, 8.0, 0.25, 0.25, params, 0.4)
+    assert simulate.road_substeps(grid, params) == 5
+    datum = rf.InitialDatum.compact_bump(center=1.0, amplitude_u=0.7)
+    rec = rf.run(params, grid, datum, t_end=2.0, snapshot_every=50, reaction=None)
+    drift = np.abs(rec.mass - rec.mass[0]).max() / rec.mass[0]
+    assert drift <= 1e-12
+
+
+def test_multirate_keeps_ordered_data_ordered_and_nonnegative():
+    grid = fast_road_grid(dx=0.5)
+    assert simulate.road_substeps(grid, P10) == 5
+    nu_mu = P10.nu / P10.mu
+    for seed in range(5):
+        rng = np.random.default_rng(700 + seed)
+        u_lo = 0.5 * nu_mu * rng.random(grid.nx)
+        v_lo = 0.5 * rng.random((grid.nx, grid.ny))
+        u_hi = u_lo + 0.5 * nu_mu * rng.random(grid.nx)
+        v_hi = v_lo + 0.5 * rng.random((grid.nx, grid.ny))
+        lo = rf.run(P10, grid, rf.InitialDatum.custom(lambda x: u_lo, lambda X, Y: v_lo),
+                    t_end=2.0, snapshot_every=10)
+        hi = rf.run(P10, grid, rf.InitialDatum.custom(lambda x: u_hi, lambda X, Y: v_hi),
+                    t_end=2.0, snapshot_every=10)
+        assert rf.is_ordered(lo.final_state, hi.final_state)
+        assert lo.final_state.u.min() >= 0.0 and lo.final_state.v.min() >= 0.0
+        for (_, a), (_, b) in zip(lo.road_profile_snapshots, hi.road_profile_snapshots):
+            assert np.all(a <= b) and a.min() >= 0.0
+        for (_, a), (_, b) in zip(lo.field_trace_snapshots, hi.field_trace_snapshots):
+            assert np.all(a <= b) and a.min() >= 0.0
+
+
+def test_multirate_keeps_the_single_rate_schedule(monkeypatch):
+    grid = fast_road_grid()
+    calls = _spy_advance(monkeypatch)
+    n_steps = 101
+    rec = rf.run(P10, grid, rf.InitialDatum.compact_bump(), t_end=n_steps * grid.dt,
+                 snapshot_every=7)
+    steps = [k for k in range(n_steps + 1) if k % 7 == 0 or k == n_steps]
+    assert np.array_equal(rec.times, np.asarray([k * grid.dt for k in steps]))
+    assert rec.final_state.t == n_steps * grid.dt
+    substeps = [m for _, m in calls]
+    assert sum(substeps) == n_steps and max(substeps) == 5
+
+
+def test_multirate_blowup_names_a_grid_step():
+    grid = fast_road_grid(dx=0.5)
+    angry = rf.ReactionFunction(lambda s: 50.0 * s, f_prime_0=1.0)
+    with pytest.raises(BlowUpError) as excinfo:
+        rf.run(P10, grid, rf.InitialDatum.compact_bump(), t_end=5.0,
+               snapshot_every=10, reaction=angry)
+    step = excinfo.value.step
+    assert step is not None and step % 5 == 0 and excinfo.value.t == step * grid.dt
+
+
+def test_multirate_converges_to_the_single_rate_scheme():
+    # the road sub-cycling error is first order in the field step, which
+    # shrinks fourfold when dx and dy halve
+    params = rf.ModelParams(D=10.0, d=1.0, mu=1.0, nu=1.0)
+    datum = rf.InitialDatum.compact_bump(amplitude_u=0.5)
+    gaps = []
+    for dx in (0.5, 0.25):
+        grid = rf.build_grid(-15.0, 15.0, 7.5, dx, dx, params, 0.4)
+        assert simulate.road_substeps(grid, params) == 5
+        n_steps = int(round(5.0 / grid.dt))
+        rec = rf.run(params, grid, datum, t_end=5.0, snapshot_every=n_steps)
+        state, _ = _iterate_step(params, grid, datum, n_steps, n_steps)
+        gaps.append(max(np.abs(rec.final_state.u - state.u).max(),
+                        np.abs(rec.final_state.v - state.v).max()))
+    assert gaps[0] >= 3.0 * gaps[1] > 0.0
+
+
+@pytest.mark.slow
+def test_front_speed_in_the_sqrt_D_regime():
+    # D = 100: the road drives the front at c*(100) = 9.52, close to the
+    # large-D law sqrt(D) * limit_speed; 50 road substeps per field step
+    params = rf.ModelParams(D=100.0, d=1.0, mu=1.0, nu=1.0)
+    c_star = rf.critical_speed(params).c_star
+    half = math.ceil((c_star * 40.0 + 20.0) / 10.0) * 10.0
+    grid = rf.build_grid(-half, half, 15.0, 0.5, 0.5, params, 0.4)
+    assert simulate.road_substeps(grid, params) == 50
+    rec = rf.run(params, grid, rf.InitialDatum.compact_bump(), t_end=40.0,
+                 snapshot_every=int(round(0.5 / grid.dt)))
+    series = rf.front_series(rec, grid, rf.Channel.ROAD, 0.5)
+    speed = rf.fit_speed(series, 0.5).speed
+    assert abs(speed - c_star) <= 0.10 * c_star
+    lo, hi = rf.limit_bounds(params)
+    assert lo <= (speed / 10.0) ** 2 <= hi
 
 
 # --- CSV output -----------------------------------------------------------------------
