@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GridMismatchError, NoCrossingError, TooFewSamplesError
 from .params import ModelParams
-from .simulate import FieldState, Grid, RunRecord
+from .simulate import FieldState, Grid, RunRecord, _write_csv
 
 __all__ = [
     "Channel",
@@ -177,22 +177,10 @@ def steady_error(
     return (eu, ev)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_front_series_csv(series: FrontSeries, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,x_front\n")
-        for t, x in zip(series.times, series.positions):
-            fh.write(f"{_fmt(t)},{_fmt(x)}\n")
+    _write_csv(path, "t,x_front", zip(series.times, series.positions))
 
 
 def write_speed_estimate_csv(estimate: SpeedEstimate, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("speed,intercept,residual_rms,t_lo,t_hi\n")
-        fh.write(
-            f"{_fmt(estimate.speed)},{_fmt(estimate.intercept)},"
-            f"{_fmt(estimate.residual_rms)},{_fmt(estimate.fit_window[0])},"
-            f"{_fmt(estimate.fit_window[1])}\n"
-        )
+    _write_csv(path, "speed,intercept,residual_rms,t_lo,t_hi",
+               [(estimate.speed, estimate.intercept, estimate.residual_rms, *estimate.fit_window)])

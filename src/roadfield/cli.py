@@ -35,6 +35,7 @@ from .params import (
     normalize_nu,
     parse_config_file,
 )
+from .simulate import _csv_lines, _fmt, _write_csv
 
 __all__ = ["main", "validate_suites", "SuiteResult", "PRESETS", "Preset"]
 
@@ -45,10 +46,6 @@ _FLOAT_SET_KEYS = {
 }
 _INT_SET_KEYS = {"snapshot_every", "seeds", "steps"}
 _STR_SET_KEYS = {"reaction"}
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_set_overrides(pairs: list[str]) -> dict:
@@ -120,25 +117,27 @@ def _out_path(args, name: str) -> Path:
     return out_dir / name
 
 
+def _emit(args, name: str, header: str, rows) -> None:
+    """Print a CSV table and write it as ``name`` in the output directory."""
+    text = "".join(_csv_lines(header, rows))
+    print(text, end="")
+    _out_path(args, name).write_text(text, encoding="utf-8")
+
+
 # --- speed / sweep / strip / limit ------------------------------------------------
 
 _SPEED_HEADER = "D,d,mu,fp0,c_kpp,c_star,regime"
 
 
-def _speed_row(params: ModelParams, res: dispersion.SpeedResult) -> str:
-    return ",".join([
-        _fmt(params.D), _fmt(params.d), _fmt(params.mu), _fmt(params.f_prime_0),
-        _fmt(c_kpp(params)), _fmt(res.c_star), res.regime.value,
-    ])
+def _speed_row(params: ModelParams, res: dispersion.SpeedResult) -> list:
+    return [params.D, params.d, params.mu, params.f_prime_0,
+            c_kpp(params), res.c_star, res.regime.value]
 
 
 def cmd_speed(args) -> int:
     params, knobs = _load_params(args)
     tol = knobs.get("tol", dispersion.DEFAULT_TOL)
-    row = _speed_row(params, _physical_speed(params, tol))
-    text = _SPEED_HEADER + "\n" + row + "\n"
-    print(text, end="")
-    _out_path(args, "speed.csv").write_text(text, encoding="utf-8")
+    _emit(args, "speed.csv", _SPEED_HEADER, [_speed_row(params, _physical_speed(params, tol))])
     return 0
 
 
@@ -154,15 +153,12 @@ def cmd_sweep(args) -> int:
     if sorted(d_list) != d_list:
         raise ConfigError("--D-list must be sorted ascending")
 
-    def one(D: float) -> str:
+    def one(D: float) -> list:
         p = replace(params, D=D)
         res = _physical_speed(p, tol)
-        return _speed_row(p, res) + "," + _fmt(res.c_star / math.sqrt(D))
+        return _speed_row(p, res) + [res.c_star / math.sqrt(D)]
 
-    rows = [one(D) for D in d_list]
-    text = _SPEED_HEADER + ",c_star_over_sqrtD\n" + "\n".join(rows) + "\n"
-    print(text, end="")
-    _out_path(args, "sweep.csv").write_text(text, encoding="utf-8")
+    _emit(args, "sweep.csv", _SPEED_HEADER + ",c_star_over_sqrtD", [one(D) for D in d_list])
     return 0
 
 
@@ -176,15 +172,9 @@ def cmd_strip(args) -> int:
     full = dispersion.critical_speed(norm, tol)
     strip = dispersion._strip_speed_below(full, norm, L, tol)
     nu = params.nu
-    text = (
-        "D,d,mu,fp0,L,c_kpp,c_star_L,c_star\n"
-        + ",".join([
-            _fmt(params.D), _fmt(params.d), _fmt(params.mu), _fmt(params.f_prime_0),
-            _fmt(L), _fmt(c_kpp(params)), _fmt(nu * strip.c_star), _fmt(nu * full.c_star),
-        ]) + "\n"
-    )
-    print(text, end="")
-    _out_path(args, "strip.csv").write_text(text, encoding="utf-8")
+    _emit(args, "strip.csv", "D,d,mu,fp0,L,c_kpp,c_star_L,c_star",
+          [[params.D, params.d, params.mu, params.f_prime_0,
+            L, c_kpp(params), nu * strip.c_star, nu * full.c_star]])
     return 0
 
 
@@ -194,15 +184,8 @@ def cmd_limit(args) -> int:
     norm = normalize_nu(params)
     c_inf = dispersion.limit_speed(norm, tol)
     lo, hi = dispersion.limit_bounds(norm)
-    text = (
-        "d,mu,fp0,c_limit,c_limit_sq,low_bound,high_bound\n"
-        + ",".join([
-            _fmt(norm.d), _fmt(norm.mu), _fmt(norm.f_prime_0),
-            _fmt(c_inf), _fmt(c_inf * c_inf), _fmt(lo), _fmt(hi),
-        ]) + "\n"
-    )
-    print(text, end="")
-    _out_path(args, "limit.csv").write_text(text, encoding="utf-8")
+    _emit(args, "limit.csv", "d,mu,fp0,c_limit,c_limit_sq,low_bound,high_bound",
+          [[norm.d, norm.mu, norm.f_prime_0, c_inf, c_inf * c_inf, lo, hi]])
     return 0
 
 
@@ -271,7 +254,7 @@ def cmd_simulate(args) -> int:
 
     substeps = simulate.road_substeps(grid, params)
     print(f"# preset={preset.name} grid {grid.nx}x{grid.ny} dt={_fmt(grid.dt)} "
-          f"steps={int(round(t_end / grid.dt))} road_substeps={substeps} "
+          f"steps={simulate._step_count(t_end, grid.dt)} road_substeps={substeps} "
           f"field_dt={_fmt(substeps * grid.dt)}")
     print(f"# dispersion prediction: c_kpp={_fmt(c_kpp(params))} "
           f"c_star={_fmt(prediction.c_star)} ({prediction.regime.value})")
@@ -399,12 +382,11 @@ def cmd_validate(args) -> int:
         seeds=knobs.get("seeds", 20),
         steps=knobs.get("steps", 200),
     )
-    lines = ["suite,passed,value,limit,note"]
     for r in results:
-        lines.append(f"{r.suite},{str(r.passed).lower()},{_fmt(r.value)},{_fmt(r.limit)},{r.note}")
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.suite}: value={_fmt(r.value)} limit={_fmt(r.limit)} {r.note}")
-    _out_path(args, "validate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(_out_path(args, "validate.csv"), "suite,passed,value,limit,note",
+               [[r.suite, str(r.passed).lower(), r.value, r.limit, r.note] for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -17,8 +17,12 @@ All speeds here are computed on nu-normalised parameters (apply
 :func:`roadfield.params.normalize_nu` first); operations raise ValueError
 otherwise.  Every solver below reduces the geometry to a scalar gap
 function of c (road branch minus field branch, maximised over admissible
-b) and bisects its sign change; the inner maximisation is a dense grid
-scan followed by golden-section refinement.
+b) and bisects its sign change.  The half-plane, strip and large-D solvers
+differ only in their gap(b) and its b interval: one maximiser,
+``_max_gap`` (a dense grid scan, then golden-section refinement), serves
+all three, and one bisection, ``_bisect_gap``, brackets every root here,
+including the crossings in :func:`intersections` and the window speeds in
+:func:`gamma_plus_threshold`.
 """
 
 from __future__ import annotations
@@ -284,20 +288,31 @@ def _gap_values(c: float, beta, params: ModelParams) -> np.ndarray:
     return a_road - _lower_field_root(c, beta, params)
 
 
-def _gap_and_argmax(c: float, params: ModelParams, n_grid: int = GRID_POINTS) -> tuple[float, float]:
-    lo = max(beta_D(c, params), -beta_kpp(c, params))
-    hi = beta_kpp(c, params)
+def _max_gap(
+    gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n_grid: int = GRID_POINTS
+) -> tuple[float, float]:
+    """(max, argmax) of a vectorised gap(b) over [lo, hi].
+
+    A dense grid scan finds the best node; golden-section refinement between
+    its neighbours replaces it only when it does at least as well.  An empty
+    interval (hi <= lo) gives the value at lo.
+    """
     if hi <= lo:
-        return float(_gap_values(c, lo, params)), lo
+        return float(gap(lo)), lo
     grid = np.linspace(lo, hi, n_grid)
-    vals = _gap_values(c, grid, params)
+    vals = gap(grid)
     k = int(np.argmax(vals))
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, n_grid - 1)]
-    x, fx = _golden_max(lambda t: float(_gap_values(c, t, params)), a, b, BETA_REFINE_TOL)
+    x, fx = _golden_max(lambda t: float(gap(t)), a, b, BETA_REFINE_TOL)
     if fx >= vals[k]:
         return fx, x
     return float(vals[k]), float(grid[k])
+
+
+def _gap_and_argmax(c: float, params: ModelParams, n_grid: int = GRID_POINTS) -> tuple[float, float]:
+    lo = max(beta_D(c, params), -beta_kpp(c, params))
+    return _max_gap(lambda b: _gap_values(c, b, params), lo, beta_kpp(c, params), n_grid)
 
 
 def curve_gap(c: float, params: ModelParams, n_grid: int = GRID_POINTS) -> float:
@@ -317,11 +332,14 @@ def curve_gap(c: float, params: ModelParams, n_grid: int = GRID_POINTS) -> float
 
 
 def _bisect_gap(gap: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Shrink [lo, hi] around the sign change of an increasing gap in c.
+    """Shrink [lo, hi] around the sign change of a gap that is negative left of it.
 
-    Keeps gap(hi) > 0 >= gap(lo).  Stops at width tol, or earlier when the
-    midpoint rounds onto an end: lo and hi are then adjacent floats, so a
-    tol below the float spacing ends at float resolution, not in a loop.
+    Keeps gap(hi) > 0 >= gap(lo), so an exact zero of the gap ends at lo.
+    To send zeros to hi, or to follow a decreasing f, pass the indicator
+    ``f(t) >= 0`` or ``f(t) <= 0`` as the gap.  Stops at width tol, or
+    earlier when the midpoint rounds onto an end: lo and hi are then
+    adjacent floats, so a tol below the float spacing (or tol = 0) ends at
+    float resolution, not in a loop.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -410,15 +428,11 @@ def intersections(c: float, params: ModelParams, n_grid: int = 4096) -> Intersec
             for k in sign_flip:
                 if vals[k] == 0.0 and vals[k + 1] == 0.0:
                     continue
-                a, b = float(grid[k]), float(grid[k + 1])
-                fa = float(vals[k])
-                for _ in range(80):
-                    m = 0.5 * (a + b)
-                    fm = float(diff(m))
-                    if fa * fm <= 0.0:
-                        b = m
-                    else:
-                        a, fa = m, fm
+                # orient the difference to rise through the bracket; exact
+                # zeros count as past the crossing
+                s = 1.0 if vals[k] < vals[k + 1] else -1.0
+                a, b = _bisect_gap(lambda t, s=s: s * float(diff(t)) >= 0.0,
+                                   float(grid[k]), float(grid[k + 1]), 0.0)
                 beta_root = 0.5 * (a + b)
                 branch = Branch.FIELD_MINUS if field_sign == "-" else Branch.FIELD_PLUS
                 alpha_root = alpha_field(c, beta_root, params, field_sign)
@@ -464,43 +478,26 @@ def gamma_plus_threshold(params: ModelParams) -> GammaPlusClassification:
     def crossing(t: float) -> float:
         return (D - 2.0 * d) * (t * t + ck2) * (t + 2.0) - 4.0 * mu * d * d * t
 
+    def root(past: Callable[[float], bool], lo: float, hi: float) -> float:
+        lo, hi = _bisect_gap(past, lo, hi, 1e-13 * max(1.0, hi))
+        return 0.5 * (lo + hi)
+
     if crossing(t_peak) >= 0.0:
         # at the window's top edge the two roots meet at the peak
         t1 = t2 = t_peak
     else:
-        t1 = _bisect_decreasing(crossing, 0.0, t_peak)
+        # crossing falls through t1 and rises through t2
+        t1 = root(lambda t: crossing(t) <= 0.0, 0.0, t_peak)
         hi = max(2.0 * t_peak, 1.0)
         while crossing(hi) <= 0.0:
             hi *= 2.0
-        t2 = _bisect_increasing(crossing, t_peak, hi)
+        t2 = root(lambda t: crossing(t) >= 0.0, t_peak, hi)
     return GammaPlusClassification(
         delta=delta,
         intersects=True,
         c_tilde_1=math.sqrt(t1 * t1 + ck2),
         c_tilde_2=math.sqrt(t2 * t2 + ck2),
     )
-
-
-def _bisect_decreasing(f: Callable[[float], float], lo: float, hi: float) -> float:
-    # f(lo) > 0 > f(hi)
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _bisect_increasing(f: Callable[[float], float], lo: float, hi: float) -> float:
-    # f(lo) < 0 < f(hi)
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # --- horizontal strip (field truncated at height L) ------------------------------
@@ -544,23 +541,12 @@ def _strip_gap_and_argmax(
     The b=0 grid point uses the branch's finite one-sided limit, which is
     what decides whether a root above c_KPP survives at this L.
     """
-    hi = beta_kpp(c, params)
 
-    def gap_arr(b):
+    def gap(b):
         a_road = (c + np.sqrt(np.clip(_strip_disc(c, b, L, params), 0.0, None))) / (2.0 * params.D)
         return a_road - _lower_field_root(c, b, params)
 
-    if hi <= 0.0:
-        return float(gap_arr(0.0)), 0.0
-    grid = np.linspace(0.0, hi, n_grid)
-    vals = gap_arr(grid)
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, n_grid - 1)]
-    x, fx = _golden_max(lambda t: float(gap_arr(t)), a, b, BETA_REFINE_TOL)
-    if fx >= vals[k]:
-        return fx, x
-    return float(vals[k]), float(grid[k])
+    return _max_gap(gap, 0.0, beta_kpp(c, params), n_grid)
 
 
 def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL) -> SpeedResult:
@@ -630,24 +616,14 @@ def _limit_gap_and_argmax(
     hi_sq = (c * road_sup - fp0) / d
     hi = math.sqrt(hi_sq) if hi_sq > 0.0 else 0.0
 
-    def gap_arr(b):
+    def gap(b):
         b = np.asarray(b, dtype=float)
         disc = c * c + 4.0 * mu * d * b / (1.0 + d * b)
         a_road = 0.5 * (c + np.sqrt(np.clip(disc, 0.0, None)))
         a_para = (fp0 + d * b * b) / c
         return a_road - a_para
 
-    if hi <= lo:
-        return float(gap_arr(lo)), lo
-    grid = np.linspace(lo, hi, n_grid)
-    vals = gap_arr(grid)
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, n_grid - 1)]
-    x, fx = _golden_max(lambda t: float(gap_arr(t)), a, b, BETA_REFINE_TOL)
-    if fx >= vals[k]:
-        return fx, x
-    return float(vals[k]), float(grid[k])
+    return _max_gap(gap, lo, hi, n_grid)
 
 
 def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:

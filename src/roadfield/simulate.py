@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -455,7 +455,7 @@ def run(
     state0 = init_state(grid, datum)
     cap = _blowup_cap(state0.u, state0.v, params)
 
-    n_steps = max(0, int(math.ceil(t_end / grid.dt - 1e-9)))
+    n_steps = _step_count(t_end, grid.dt)
     fold = grid.nx % 2 == 1 and _is_mirror_symmetric(state0.u, state0.v)
     first = grid.nx // 2 if fold else 0
     u_prev, v_prev = state0.u[first:].copy(), state0.v[first:].copy()
@@ -509,6 +509,11 @@ def run(
     )
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """Steps of dt that :func:`run` takes to reach t_end (the last may overshoot it)."""
+    return max(0, int(math.ceil(t_end / dt - 1e-9)))
+
+
 def _is_mirror_symmetric(u: np.ndarray, v: np.ndarray) -> bool:
     """True when the state equals its own image under x -> -x, bit for bit."""
     return np.array_equal(u, u[::-1]) and np.array_equal(v, v[::-1])
@@ -526,26 +531,29 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_mass_csv(record: RunRecord, path) -> None:
+def _csv_lines(header: str, rows: Iterable[Iterable]) -> Iterator[str]:
+    """The header line, then one line per row: numbers as :func:`_fmt`, strings as they are."""
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n"
+
+
+def _write_csv(path, header: str, rows: Iterable[Iterable]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,mass\n")
-        for t, m in zip(record.times, record.mass):
-            fh.write(f"{_fmt(t)},{_fmt(m)}\n")
+        fh.writelines(_csv_lines(header, rows))
+
+
+def write_mass_csv(record: RunRecord, path) -> None:
+    _write_csv(path, "t,mass", zip(record.times, record.mass))
 
 
 def write_road_profiles_csv(record: RunRecord, grid: Grid, path) -> None:
     x = grid.x()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,x,u\n")
-        for t, u in record.road_profile_snapshots:
-            for xi, ui in zip(x, u):
-                fh.write(f"{_fmt(t)},{_fmt(xi)},{_fmt(ui)}\n")
+    _write_csv(path, "t,x,u",
+               ((t, xi, ui) for t, u in record.road_profile_snapshots for xi, ui in zip(x, u)))
 
 
 def write_field_trace_csv(record: RunRecord, grid: Grid, path) -> None:
     x = grid.x()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,x,v0\n")
-        for t, v0 in record.field_trace_snapshots:
-            for xi, vi in zip(x, v0):
-                fh.write(f"{_fmt(t)},{_fmt(xi)},{_fmt(vi)}\n")
+    _write_csv(path, "t,x,v0",
+               ((t, xi, vi) for t, v0 in record.field_trace_snapshots for xi, vi in zip(x, v0)))

@@ -93,6 +93,47 @@ def test_sweep_table(tmp_path):
     assert lo <= ratio_sq <= hi
 
 
+# exact CSV text of the solver verbs; a change that moves a digit must update these
+# and say which digits moved and why
+PINNED_CSV = {
+    ("speed", "--set", "D=4"): (
+        "speed.csv",
+        "D,d,mu,fp0,c_kpp,c_star,regime\n"
+        "4,1,1,1,2,2.2692892216145992,SuperThreshold\n",
+    ),
+    ("sweep", "--D-list", "1,2,4,16,64,256,1024,1e5"): (
+        "sweep.csv",
+        "D,d,mu,fp0,c_kpp,c_star,regime,c_star_over_sqrtD\n"
+        "1,1,1,1,2,2,SubThreshold,2\n"
+        "2,1,1,1,2,2,SubThreshold,1.4142135623730949\n"
+        "4,1,1,1,2,2.2692892216145992,SuperThreshold,1.1346446108072996\n"
+        "16,1,1,1,2,3.9492677859961987,SuperThreshold,0.98731694649904966\n"
+        "64,1,1,1,2,7.6454471684992313,SuperThreshold,0.95568089606240392\n"
+        "256,1,1,1,2,15.168583113700151,SuperThreshold,0.94803644460625947\n"
+        "1024,1,1,1,2,30.276515644043684,SuperThreshold,0.94614111387636513\n"
+        "100000,1,1,1,2,298.99878412112594,SuperThreshold,0.94551717544374436\n",
+    ),
+    ("strip", "--set", "D=4", "--L", "20"): (
+        "strip.csv",
+        "D,d,mu,fp0,L,c_kpp,c_star_L,c_star\n"
+        "4,1,1,1,20,2,2.2689838692220943,2.2692892216145992\n",
+    ),
+    ("limit",): (
+        "limit.csv",
+        "d,mu,fp0,c_limit,c_limit_sq,low_bound,high_bound\n"
+        "1,1,1,0.94551072246956602,0.89399052630492071,0.23606797749978969,1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_CSV), ids=lambda argv: argv[0])
+def test_solver_csv_bytes_are_pinned(tmp_path, capsys, argv):
+    name, text = PINNED_CSV[argv]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+    assert capsys.readouterr().out == text
+
+
 def test_sweep_rejects_unsorted_or_empty(tmp_path):
     assert main(["sweep", "--D-list", "4,2", "--out-dir", str(tmp_path)]) == 2
     assert main(["sweep", "--D-list", "", "--out-dir", str(tmp_path)]) == 2
@@ -172,6 +213,20 @@ def test_simulate_enhanced_preset_reports_road_substeps(tmp_path, capsys):
     # D=10, dx=dy=0.5: road bound 0.0125 against the field's 0.0625
     assert header == ("# preset=enhanced grid 321x11 dt=0.005000000000000001 steps=4000 "
                       "road_substeps=5 field_dt=0.025000000000000005")
+
+
+def test_simulate_header_counts_the_steps_run_takes(tmp_path, capsys):
+    # t_end/dt = 1.3: run takes ceil = 2 steps, which rounding would report as 1
+    code = main(["simulate", "--preset", "conservation", "--out-dir", str(tmp_path),
+                 "--set", "t_end=0.0013", "--set", "x_min=-5", "--set", "x_max=5",
+                 "--set", "y_max=3"])
+    assert code == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    steps = int(header.split("steps=")[1].split()[0])
+    dt = float(header.split("dt=")[1].split()[0])
+    t_last = float((tmp_path / "mass.csv").read_text().splitlines()[-1].split(",")[0])
+    assert steps == 2
+    assert t_last == steps * dt
 
 
 def test_simulate_unknown_preset(tmp_path):

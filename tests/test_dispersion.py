@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roadfield as rf
-from roadfield.dispersion import _gap_and_argmax
 from roadfield.errors import DomainError, NoTangencyError
 
 from oracles import (
@@ -515,6 +516,62 @@ def test_branch_points_satisfy_their_equations():
 def test_gap_argmax_is_interior_peak():
     # the maximising beta for D > 2d sits strictly inside (0, beta_kpp)
     p = make(4.0)
-    c = rf.critical_speed(p).c_star
-    _, b_star = _gap_and_argmax(c, p)
-    assert 0.0 < b_star < rf.beta_kpp(c, p)
+    res = rf.critical_speed(p)
+    assert 0.0 < res.tangency.beta < rf.beta_kpp(res.c_star, p)
+
+
+# --- properties over random finite parameters --------------------------------------
+
+_coeff = st.floats(0.2, 5.0)                     # d, mu and f'(0)
+_super = st.floats(2.0, 40.0, exclude_min=True)  # D/d above the threshold
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=_coeff, mu=_coeff, fp0=_coeff, ratio=st.floats(0.05, 40.0),
+       u=st.floats(0.0, 3.0), step=st.floats(1e-3, 1.0))
+def test_curve_gap_increases_in_c(d, mu, fp0, ratio, u, step):
+    p = make(ratio * d, d=d, mu=mu, fp0=fp0)
+    c = rf.c_kpp(p) * (1.0 + u)
+    assert rf.curve_gap(c, p) < rf.curve_gap(c + step * rf.c_kpp(p), p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=_coeff, mu=_coeff, fp0=_coeff, ratios=st.lists(st.floats(0.0, 40.0), min_size=2, max_size=2))
+def test_critical_speed_does_not_decrease_in_D(d, mu, fp0, ratios):
+    params = [make(r * d, d=d, mu=mu, fp0=fp0) for r in sorted(ratios)]
+    low, high = (rf.critical_speed(p) for p in params)
+    for p, res in zip(params, (low, high)):
+        if p.D <= 2.0 * p.d:
+            assert res.c_star == rf.c_kpp(p)
+        else:
+            assert res.c_star > rf.c_kpp(p)
+    # c*(D) is nondecreasing, so the certified brackets cannot say otherwise
+    assert low.bracket[0] <= high.bracket[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=_coeff, mu=_coeff, fp0=_coeff, ratio=_super, L=st.floats(0.5, 30.0))
+def test_strip_threshold_lies_between_c_kpp_and_c_star(d, mu, fp0, ratio, L):
+    p = make(ratio * d, d=d, mu=mu, fp0=fp0)
+    try:
+        strip = rf.strip_critical_speed(p, L)
+    except NoTangencyError:
+        return  # no strip threshold above c_KPP at this height
+    full = rf.critical_speed(p)
+    # c_KPP < c_L < c*: for tall strips c* - c_L falls below tol, so compare
+    # the certified brackets rather than their midpoints
+    assert rf.c_kpp(p) < strip.bracket[0] < full.bracket[1]
+    assert strip.bracket[1] <= full.bracket[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=_coeff, mu=_coeff, fp0=_coeff, ratio=_super, above=st.floats(0.01, 1.0))
+def test_two_intersections_above_c_star_solve_the_system(d, mu, fp0, ratio, above):
+    p = make(ratio * d, d=d, mu=mu, fp0=fp0)
+    c = rf.critical_speed(p).c_star * (1.0 + above)
+    points = rf.intersections(c, p).points
+    assert len(points) == 2
+    for pt in points:
+        ansatz = rf.ExponentialAnsatz(alpha=pt.alpha, beta=pt.beta,
+                                      gamma=rf.gamma_of_beta(pt.beta, p), c=c)
+        assert max(abs(r) for r in ansatz.residuals(p)) <= 1e-7
