@@ -49,7 +49,6 @@ from .dispersion import (
     strip_critical_speed,
 )
 from .simulate import (
-    DatumKind,
     FieldState,
     Grid,
     InitialDatum,
@@ -106,7 +105,6 @@ __all__ = [
     "limit_speed",
     "limit_bounds",
     "Grid",
-    "DatumKind",
     "InitialDatum",
     "FieldState",
     "RunRecord",

@@ -34,6 +34,7 @@ from .params import (
     check_kpp,
     normalize_nu,
     parse_config_file,
+    parse_config_text,
 )
 from .simulate import _csv_lines, _fmt, _write_csv
 
@@ -79,10 +80,7 @@ def _load_params(args, preset_overrides: dict | None = None) -> tuple[ModelParam
 
     Returns the ModelParams plus the non-parameter knobs from --set.
     """
-    if args.config is not None:
-        params = parse_config_file(args.config)
-    else:
-        params = ModelParams(D=1.0, d=1.0, mu=1.0, nu=1.0, f_prime_0=1.0)
+    params = parse_config_file(args.config) if args.config is not None else parse_config_text("")
     values = {"D": params.D, "d": params.d, "mu": params.mu,
               "nu": params.nu, "fp0": params.f_prime_0}
     if preset_overrides:
@@ -351,11 +349,9 @@ def validate_suites(
 
     # stability: run a bump with the requested safety factor; blow-up fails the suite
     base = simulate.build_grid(-10.0, 10.0, 5.0, 0.25, 0.25, params, 0.4)
-    dt = safety * simulate.cfl_dt(base, params, 1.0)
-    cfl_grid = simulate.Grid(x_min=base.x_min, x_max=base.x_max, y_max=base.y_max,
-                             nx=base.nx, ny=base.ny, dt=dt)
+    cfl_grid = replace(base, dt=safety * simulate.cfl_dt(base, params, 1.0))
     state = simulate.init_state(cfl_grid, simulate.InitialDatum.compact_bump())
-    cap = 10.0 * max(1.0, nu_mu * float(state.u.max()), float(state.v.max()))
+    cap = simulate._blowup_cap(state.u, state.v, params)
     blew_up_at = 0
     try:
         for k in range(1, 501):

@@ -22,7 +22,11 @@ differ only in their gap(b) and its b interval: one maximiser,
 ``_max_gap`` (a dense grid scan, then golden-section refinement), serves
 all three, and one bisection, ``_bisect_gap``, brackets every root here,
 including the crossings in :func:`intersections` and the window speeds in
-:func:`gamma_plus_threshold`.
+:func:`gamma_plus_threshold`.  The road discriminant is written once
+(``_road_disc``; the large-D limit is its D = 1 case) and every branch of
+the form (c +/- sqrt(disc))/scale is ``_root``; the half-plane and strip
+solvers share one tail, ``_tangent_speed``, that bisects and records the
+tangency point.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ __all__ = [
 ]
 
 GRID_POINTS = 2048          # dense scan of the admissible b interval
+CROSSING_SCAN_POINTS = 4096  # scan of each branch pair in intersections
 BETA_REFINE_TOL = 1e-12     # golden-section width in b
 DEFAULT_TOL = 1e-8          # bisection width in c
 
@@ -68,12 +73,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class Branch(Enum):
-    ROAD_PLUS = "road+"
-    ROAD_MINUS = "road-"
     FIELD_PLUS = "field+"
     FIELD_MINUS = "field-"
     ROAD_STRIP_PLUS = "road_strip+"
-    LIMIT_PLUS = "limit+"
 
 
 class Regime(Enum):
@@ -213,11 +215,10 @@ def alpha_road(c: float, beta: float, params: ModelParams, sign: str) -> float:
         raise DomainError("alpha_road needs D > 0 (degenerate road has no curve)")
     if beta <= -1.0 / params.d:
         raise DomainError(f"require beta > -1/d = {-1.0/params.d}, got {beta}")
-    disc = c * c + 4.0 * params.mu * params.d * params.D * beta / (1.0 + params.d * beta)
-    disc = _clamp_roundoff(disc, c * c)
+    disc = _clamp_roundoff(_road_disc(c, beta, params.mu, params.d, params.D), c * c)
     if disc < 0.0:
         raise DomainError(f"road discriminant negative at (c={c}, beta={beta}): beta < beta_D(c)")
-    return (c + s * math.sqrt(disc)) / (2.0 * params.D)
+    return float(_root(c, disc, 2.0 * params.D, s))
 
 
 def alpha_field(c: float, beta: float, params: ModelParams, sign: str) -> float:
@@ -236,6 +237,16 @@ def alpha_field(c: float, beta: float, params: ModelParams, sign: str) -> float:
         return upper / (2.0 * params.d)
     # product of the roots over the upper root: no cancellation at large c
     return (ck * ck + b2) / (2.0 * params.d * upper)
+
+
+def _road_disc(c: float, beta, mu: float, d: float, D: float):
+    """Discriminant c^2 + 4*mu*d*D*b/(1+d*b) of the road equation, scalar or array b."""
+    return c * c + 4.0 * mu * d * D * beta / (1.0 + d * beta)
+
+
+def _root(c: float, disc, scale: float, s: float = 1.0):
+    """Branch (c + s*sqrt(disc))/scale, a negative disc clamped to 0."""
+    return (c + s * np.sqrt(np.clip(disc, 0.0, None))) / scale
 
 
 def _lower_field_root(c: float, beta, params: ModelParams):
@@ -283,14 +294,11 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
 def _gap_values(c: float, beta, params: ModelParams) -> np.ndarray:
     """alpha_road(+) - alpha_field(-) on an array of admissible b (edges clamped)."""
     beta = np.asarray(beta, dtype=float)
-    disc_r = c * c + 4.0 * params.mu * params.d * params.D * beta / (1.0 + params.d * beta)
-    a_road = (c + np.sqrt(np.clip(disc_r, 0.0, None))) / (2.0 * params.D)
-    return a_road - _lower_field_root(c, beta, params)
+    disc = _road_disc(c, beta, params.mu, params.d, params.D)
+    return _root(c, disc, 2.0 * params.D) - _lower_field_root(c, beta, params)
 
 
-def _max_gap(
-    gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n_grid: int = GRID_POINTS
-) -> tuple[float, float]:
+def _max_gap(gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
     """(max, argmax) of a vectorised gap(b) over [lo, hi].
 
     A dense grid scan finds the best node; golden-section refinement between
@@ -299,23 +307,23 @@ def _max_gap(
     """
     if hi <= lo:
         return float(gap(lo)), lo
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     vals = gap(grid)
     k = int(np.argmax(vals))
     a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, n_grid - 1)]
+    b = grid[min(k + 1, GRID_POINTS - 1)]
     x, fx = _golden_max(lambda t: float(gap(t)), a, b, BETA_REFINE_TOL)
     if fx >= vals[k]:
         return fx, x
     return float(vals[k]), float(grid[k])
 
 
-def _gap_and_argmax(c: float, params: ModelParams, n_grid: int = GRID_POINTS) -> tuple[float, float]:
+def _gap_and_argmax(c: float, params: ModelParams) -> tuple[float, float]:
     lo = max(beta_D(c, params), -beta_kpp(c, params))
-    return _max_gap(lambda b: _gap_values(c, b, params), lo, beta_kpp(c, params), n_grid)
+    return _max_gap(lambda b: _gap_values(c, b, params), lo, beta_kpp(c, params))
 
 
-def curve_gap(c: float, params: ModelParams, n_grid: int = GRID_POINTS) -> float:
+def curve_gap(c: float, params: ModelParams) -> float:
     """Signed clearance between the upper road branch and the lower field branch.
 
     G(c) = max over admissible b of (alpha_road(c,b,+) - alpha_field(c,b,-)),
@@ -328,7 +336,7 @@ def curve_gap(c: float, params: ModelParams, n_grid: int = GRID_POINTS) -> float
         raise DomainError("curve_gap needs D > 0")
     if c < c_kpp(params):
         raise DomainError(f"require c >= c_KPP, got {c}")
-    return _gap_and_argmax(c, params, n_grid)[0]
+    return _gap_and_argmax(c, params)[0]
 
 
 def _bisect_gap(gap: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -350,6 +358,21 @@ def _bisect_gap(gap: Callable[[float], float], lo: float, hi: float, tol: float)
         else:
             lo = mid
     return lo, hi
+
+
+def _tangent_speed(gap: Callable[[float], float], gap_and_argmax: Callable[[float], tuple[float, float]],
+                   lo: float, hi: float, tol: float, params: ModelParams, branch: Branch) -> SpeedResult:
+    """Bisect gap's sign change on [lo, hi] to width tol; the midpoint is the speed.
+
+    The tangency point is the maximising b of ``gap_and_argmax`` at that
+    speed, on the lower field branch.
+    """
+    lo, hi = _bisect_gap(gap, lo, hi, tol)
+    c = 0.5 * (lo + hi)
+    _, b_star = gap_and_argmax(c)
+    tangency = CurvePoint(beta=b_star, alpha=alpha_field(c, b_star, params, "-"), branch=branch)
+    return SpeedResult(c_star=c, regime=Regime.SUPER_THRESHOLD, bracket=(lo, hi), tol=tol,
+                       tangency=tangency)
 
 
 # --- critical speed -------------------------------------------------------------
@@ -377,37 +400,35 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
             raise BracketError(
                 f"no curve crossing found up to c={hi}; parameters are inconsistent"
             )
-    lo, hi = _bisect_gap(lambda c: curve_gap(c, params), lo, hi, tol)
-    c_star = 0.5 * (lo + hi)
-    _, b_star = _gap_and_argmax(c_star, params)
-    tangency = CurvePoint(
-        beta=b_star,
-        alpha=alpha_field(c_star, b_star, params, "-"),
-        branch=Branch.FIELD_MINUS,
-    )
-    return SpeedResult(
-        c_star=c_star,
-        regime=Regime.SUPER_THRESHOLD,
-        bracket=(lo, hi),
-        tol=tol,
-        tangency=tangency,
-    )
+    return _tangent_speed(lambda c: curve_gap(c, params), lambda c: _gap_and_argmax(c, params),
+                          lo, hi, tol, params, Branch.FIELD_MINUS)
 
 
 # --- crossings at fixed speed ---------------------------------------------------
 
 
-def intersections(c: float, params: ModelParams, n_grid: int = 4096) -> IntersectionSet:
+def intersections(c: float, params: ModelParams) -> IntersectionSet:
     """Locate every crossing of the road curve with the field circle at speed c.
 
     Scans all four (road branch, field branch) pairs for sign changes of
-    the branch difference over admissible b and refines each by bisection.
-    Points are labelled by the field semicircle they lie on.  For c > c*
-    the loci cross at exactly two points.
+    the branch difference over ``CROSSING_SCAN_POINTS`` even nodes of the
+    admissible b interval and refines each by bisection.  At large D the
+    stretch where the upper road branch clears the lower field branch is
+    narrower than the node spacing, so the argmax of :func:`curve_gap`
+    also splits its cell when that cell shows no sign change of its own.
+    Points are labelled by the field semicircle they lie on.  For D > 2d
+    and c > c* the loci cross at exactly two points.  For D <= 2d, where
+    c* = c_KPP, they need not cross at all just above c* (D = d = mu = 1
+    at c = 2.25 gives no points).
     """
     _require_normalized(params)
     lo = max(beta_D(c, params), -beta_kpp(c, params))
     hi = beta_kpp(c, params)
+    grid = np.linspace(lo, hi, CROSSING_SCAN_POINTS)
+    b_peak = _gap_and_argmax(c, params)[1]
+    k_peak = min(max(int(np.searchsorted(grid, b_peak)) - 1, 0), CROSSING_SCAN_POINTS - 2)
+    d, mu, D = params.d, params.mu, params.D
+    ck = c_kpp(params)
     found: list[CurvePoint] = []
     for road_sign in ("+", "-"):
         for field_sign in ("+", "-"):
@@ -415,24 +436,25 @@ def intersections(c: float, params: ModelParams, n_grid: int = 4096) -> Intersec
 
             def diff(b, _rs=rs, _fs=fs):
                 b = np.asarray(b, dtype=float)
-                ck = c_kpp(params)
-                dr = c * c + 4.0 * params.mu * params.d * params.D * b / (1.0 + params.d * b)
-                df = c * c - ck * ck - 4.0 * (params.d * b) ** 2
-                ar = (c + _rs * np.sqrt(np.clip(dr, 0.0, None))) / (2.0 * params.D)
-                af = (c + _fs * np.sqrt(np.clip(df, 0.0, None))) / (2.0 * params.d)
-                return ar - af
+                a_road = _root(c, _road_disc(c, b, mu, d, D), 2.0 * D, _rs)
+                return a_road - _root(c, c * c - ck * ck - 4.0 * (d * b) ** 2, 2.0 * d, _fs)
 
-            grid = np.linspace(lo, hi, n_grid)
             vals = diff(grid)
-            sign_flip = np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)
-            for k in sign_flip:
-                if vals[k] == 0.0 and vals[k + 1] == 0.0:
+            brackets = [(grid[k], grid[k + 1], vals[k], vals[k + 1])
+                        for k in np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)]
+            # cells with a sign change keep their bracket, so every crossing
+            # the even scan finds comes out as before, bit for bit
+            k, v_peak = k_peak, float(diff(b_peak))
+            if vals[k] * vals[k + 1] > 0.0 and vals[k] * v_peak <= 0.0:
+                brackets += [(grid[k], b_peak, vals[k], v_peak),
+                             (b_peak, grid[k + 1], v_peak, vals[k + 1])]
+            for a, b, va, vb in brackets:
+                if va == 0.0 and vb == 0.0:
                     continue
                 # orient the difference to rise through the bracket; exact
                 # zeros count as past the crossing
-                s = 1.0 if vals[k] < vals[k + 1] else -1.0
-                a, b = _bisect_gap(lambda t, s=s: s * float(diff(t)) >= 0.0,
-                                   float(grid[k]), float(grid[k + 1]), 0.0)
+                s = 1.0 if va < vb else -1.0
+                a, b = _bisect_gap(lambda t, s=s: s * float(diff(t)) >= 0.0, float(a), float(b), 0.0)
                 beta_root = 0.5 * (a + b)
                 branch = Branch.FIELD_MINUS if field_sign == "-" else Branch.FIELD_PLUS
                 alpha_root = alpha_field(c, beta_root, params, field_sign)
@@ -526,16 +548,13 @@ def strip_alpha_road(c: float, beta: float, L: float, params: ModelParams) -> fl
         raise DomainError(f"strip branch needs beta > 0, got {beta}")
     if L <= 0.0:
         raise DomainError(f"strip height must be positive, got {L}")
-    disc = float(_strip_disc(c, beta, L, params))
-    disc = _clamp_roundoff(disc, c * c)
+    disc = _clamp_roundoff(float(_strip_disc(c, beta, L, params)), c * c)
     if disc < 0.0:
         raise DomainError(f"strip discriminant negative at (c={c}, beta={beta}, L={L})")
-    return (c + math.sqrt(disc)) / (2.0 * params.D)
+    return float(_root(c, disc, 2.0 * params.D))
 
 
-def _strip_gap_and_argmax(
-    c: float, L: float, params: ModelParams, n_grid: int = GRID_POINTS
-) -> tuple[float, float]:
+def _strip_gap_and_argmax(c: float, L: float, params: ModelParams) -> tuple[float, float]:
     """max over b in (0, beta_kpp(c)] of (strip road branch - lower field branch).
 
     The b=0 grid point uses the branch's finite one-sided limit, which is
@@ -543,19 +562,23 @@ def _strip_gap_and_argmax(
     """
 
     def gap(b):
-        a_road = (c + np.sqrt(np.clip(_strip_disc(c, b, L, params), 0.0, None))) / (2.0 * params.D)
+        a_road = _root(c, _strip_disc(c, b, L, params), 2.0 * params.D)
         return a_road - _lower_field_root(c, b, params)
 
-    return _max_gap(gap, 0.0, beta_kpp(c, params), n_grid)
+    return _max_gap(gap, 0.0, beta_kpp(c, params))
 
 
 def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL) -> SpeedResult:
-    """Critical speed of the strip-truncated system; lies in (c_KPP, c*) for large L.
+    """Critical speed of the strip-truncated system; below c* for large L.
 
-    Bisects the strip gap function on [c_KPP, c*].  The strip branch sits
-    above the half-plane branch, so the gap at c* is always positive; when
-    L is too small the gap is already nonnegative at c_KPP and no threshold
-    above c_KPP exists - that raises :class:`NoTangencyError`.
+    Bisects the strip gap function on [c_KPP, c_hi], c_hi the certified
+    upper end of c*'s bracket, where the gap is always positive (the strip
+    branch sits above the half-plane branch).  When L is too small the gap
+    is already nonnegative at c_KPP and no threshold above c_KPP exists -
+    that raises :class:`NoTangencyError`.  The threshold lies in (c_KPP, c*)
+    only up to tol: both speeds are bracket midpoints, and once c* - c_L
+    (about e^{-2 beta L}) is below tol the returned c_L can exceed the
+    returned c* by less than tol (D = 28, mu = 2, f'(0) = 5, L = 24).
     """
     _require_normalized(params)
     if tol <= 0:
@@ -587,43 +610,27 @@ def _strip_speed_below(full: SpeedResult, params: ModelParams, L: float, tol: fl
         raise NoTangencyError(
             f"no sign change of the strip gap on (c_KPP, c*) at L={L}"
         )
-    lo, hi = _bisect_gap(lambda c: _strip_gap_and_argmax(c, L, params)[0], ck, c_hi, tol)
-    c_L = 0.5 * (lo + hi)
-    _, b_star = _strip_gap_and_argmax(c_L, L, params)
-    tangency = CurvePoint(
-        beta=b_star,
-        alpha=alpha_field(c_L, b_star, params, "-"),
-        branch=Branch.ROAD_STRIP_PLUS,
-    )
-    return SpeedResult(
-        c_star=c_L,
-        regime=Regime.SUPER_THRESHOLD,
-        bracket=(lo, hi),
-        tol=tol,
-        tangency=tangency,
-    )
+    return _tangent_speed(lambda c: _strip_gap_and_argmax(c, L, params)[0],
+                          lambda c: _strip_gap_and_argmax(c, L, params),
+                          ck, c_hi, tol, params, Branch.ROAD_STRIP_PLUS)
 
 
 # --- large-D limit ----------------------------------------------------------------
 
 
-def _limit_gap_and_argmax(
-    c: float, params: ModelParams, n_grid: int = GRID_POINTS
-) -> tuple[float, float]:
+def _limit_gap_and_argmax(c: float, params: ModelParams) -> tuple[float, float]:
+    """max of (rescaled road branch - field parabola); the road is its D = 1 form."""
     d, mu, fp0 = params.d, params.mu, params.f_prime_0
     lo = -c * c / (d * (c * c + 4.0 * mu))
-    road_sup = 0.5 * (c + math.sqrt(c * c + 4.0 * mu))
+    road_sup = float(_root(c, c * c + 4.0 * mu, 2.0))
     hi_sq = (c * road_sup - fp0) / d
     hi = math.sqrt(hi_sq) if hi_sq > 0.0 else 0.0
 
     def gap(b):
         b = np.asarray(b, dtype=float)
-        disc = c * c + 4.0 * mu * d * b / (1.0 + d * b)
-        a_road = 0.5 * (c + np.sqrt(np.clip(disc, 0.0, None)))
-        a_para = (fp0 + d * b * b) / c
-        return a_road - a_para
+        return _root(c, _road_disc(c, b, mu, d, 1.0), 2.0) - (fp0 + d * b * b) / c
 
-    return _max_gap(gap, lo, hi, n_grid)
+    return _max_gap(gap, lo, hi)
 
 
 def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:

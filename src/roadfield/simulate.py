@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -57,7 +56,6 @@ from .params import ModelParams, ReactionFunction
 
 __all__ = [
     "Grid",
-    "DatumKind",
     "InitialDatum",
     "FieldState",
     "RunRecord",
@@ -187,53 +185,49 @@ def _count_nodes(length: float, spacing: float, name: str) -> int:
     return int(round(n)) + 1
 
 
-class DatumKind(Enum):
-    COMPACT_BUMP = "compact_bump"
-    ROAD_ONLY_BUMP = "road_only_bump"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class InitialDatum:
     """Nonnegative, compactly supported starting data for the Cauchy problem.
 
-    compact_bump: field bump amp_v*max(0, 1-(r/width)^2)^2 centred at
-    (center, 1) (one unit off the road), optional road bump of the same
-    shape in x.  road_only_bump: road bump only, empty field.  custom:
-    callables u_init(x) and v_init(X, Y) sampled on the grid nodes.
+    Two samplers, u_init(x) on the road nodes and v_init(X, Y) on the field
+    nodes.  compact_bump: field bump amp_v*max(0, 1-(r/width)^2)^2 centred
+    at (center, 1) (one unit off the road), optional road bump of the same
+    shape in x.  road_only_bump: the compact bump with amp_v = 0, an empty
+    field.  custom: any two callables.
     """
 
-    kind: DatumKind
-    center: float = 0.0
-    width: float = 2.0
-    amplitude_u: float = 0.0
-    amplitude_v: float = 0.0
-    u_init: Callable[[np.ndarray], np.ndarray] | None = None
-    v_init: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    u_init: Callable[[np.ndarray], np.ndarray]
+    v_init: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValueError("width must be positive")
-        if self.amplitude_u < 0.0 or self.amplitude_v < 0.0:
-            raise ValueError("amplitudes must be nonnegative")
-        if self.kind is DatumKind.CUSTOM and (self.u_init is None or self.v_init is None):
-            raise ValueError("custom datum needs both u_init and v_init callables")
+        if self.u_init is None or self.v_init is None:
+            raise ValueError("datum needs both u_init and v_init callables")
 
     @staticmethod
     def compact_bump(center: float = 0.0, width: float = 2.0,
                      amplitude_v: float = 1.0, amplitude_u: float = 0.0) -> "InitialDatum":
-        return InitialDatum(DatumKind.COMPACT_BUMP, center=center, width=width,
-                            amplitude_u=amplitude_u, amplitude_v=amplitude_v)
+        if width <= 0.0:
+            raise ValueError("width must be positive")
+        if amplitude_u < 0.0 or amplitude_v < 0.0:
+            raise ValueError("amplitudes must be nonnegative")
+
+        def u_init(x):
+            return amplitude_u * np.clip(1.0 - ((x - center) / width) ** 2, 0.0, None) ** 2
+
+        def v_init(X, Y):
+            r2 = ((X - center) ** 2 + (Y - 1.0) ** 2) / width**2
+            return amplitude_v * np.clip(1.0 - r2, 0.0, None) ** 2
+
+        return InitialDatum(u_init, v_init)
 
     @staticmethod
     def road_only_bump(center: float = 0.0, width: float = 2.0,
                        amplitude_u: float = 1.0) -> "InitialDatum":
-        return InitialDatum(DatumKind.ROAD_ONLY_BUMP, center=center, width=width,
-                            amplitude_u=amplitude_u)
+        return InitialDatum.compact_bump(center, width, amplitude_v=0.0, amplitude_u=amplitude_u)
 
     @staticmethod
     def custom(u_init, v_init) -> "InitialDatum":
-        return InitialDatum(DatumKind.CUSTOM, u_init=u_init, v_init=v_init)
+        return InitialDatum(u_init, v_init)
 
 
 @dataclass(frozen=True)
@@ -261,27 +255,22 @@ class RunRecord:
 
 
 def init_state(grid: Grid, datum: InitialDatum) -> FieldState:
-    """Sample the datum at the grid nodes; raises EmptyDatumError if all zero."""
+    """Sample the datum's two samplers at the grid nodes.
+
+    Raises ValueError on a wrong shape or a negative value, and
+    EmptyDatumError if every node is zero.
+    """
     x = grid.x()
-    if datum.kind is DatumKind.COMPACT_BUMP:
-        u = datum.amplitude_u * np.clip(1.0 - ((x - datum.center) / datum.width) ** 2, 0.0, None) ** 2
-        X, Y = np.meshgrid(x, grid.y(), indexing="ij")
-        r2 = ((X - datum.center) ** 2 + (Y - 1.0) ** 2) / datum.width**2
-        v = datum.amplitude_v * np.clip(1.0 - r2, 0.0, None) ** 2
-    elif datum.kind is DatumKind.ROAD_ONLY_BUMP:
-        u = datum.amplitude_u * np.clip(1.0 - ((x - datum.center) / datum.width) ** 2, 0.0, None) ** 2
-        v = np.zeros((grid.nx, grid.ny))
-    else:
-        X, Y = np.meshgrid(x, grid.y(), indexing="ij")
-        u = np.asarray(datum.u_init(x), dtype=float)
-        v = np.asarray(datum.v_init(X, Y), dtype=float)
-        if u.shape != (grid.nx,) or v.shape != (grid.nx, grid.ny):
-            raise ValueError(
-                f"custom datum shapes {u.shape}, {v.shape} do not match grid "
-                f"({grid.nx},), ({grid.nx}, {grid.ny})"
-            )
-        if u.min() < 0.0 or v.min() < 0.0:
-            raise ValueError("custom datum must be nonnegative")
+    X, Y = np.meshgrid(x, grid.y(), indexing="ij")
+    u = np.asarray(datum.u_init(x), dtype=float)
+    v = np.asarray(datum.v_init(X, Y), dtype=float)
+    if u.shape != (grid.nx,) or v.shape != (grid.nx, grid.ny):
+        raise ValueError(
+            f"datum shapes {u.shape}, {v.shape} do not match grid "
+            f"({grid.nx},), ({grid.nx}, {grid.ny})"
+        )
+    if u.min() < 0.0 or v.min() < 0.0:
+        raise ValueError("datum must be nonnegative")
     if u.max(initial=0.0) == 0.0 and v.max(initial=0.0) == 0.0:
         raise EmptyDatumError("initial datum vanishes at every grid node")
     return FieldState(t=0.0, u=u, v=v)

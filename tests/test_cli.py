@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -132,6 +133,45 @@ def test_solver_csv_bytes_are_pinned(tmp_path, capsys, argv):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / name).read_bytes() == text.encode("utf-8")
     assert capsys.readouterr().out == text
+
+
+_SHRUNK = ("--set", "t_end=10", "--set", "dx=0.5", "--set", "dy=0.5", "--set", "y_max=8",
+           "--set", "window_fraction=1")
+# sha256 of the stdout and of every file of the simulate and validate verbs:
+# exit code, stdout, {file: digest}; a change that moves a byte must update
+# these and say what moved and why
+PINNED_SHA256 = {
+    ("validate",): (
+        0, "6c1547e6c1c06d633291aa3e920e1cafb57fd1a0d61de13df25b03d52a358cff",
+        {"validate.csv": "15f42222f917009242d536b899975ac8d8abc26412be8f6f47b1807d3e85bb2d"},
+    ),
+    ("validate", "--set", "safety=2"): (
+        1, "a65d8691ada45346809e8ed154f1eef4d3d113c0d74b37c6e58794b43b45cb09",
+        {"validate.csv": "951d635486f4ecaf24cfed2f65969bcb42f8dc0a24c52673ecc6ff589d97a67a"},
+    ),
+    ("simulate", "--preset", "kpp", *_SHRUNK, "--set", "x_min=-40", "--set", "x_max=40"): (
+        0, "17adce4f15ab3ac00372e9178f381e6448a562eb66b152595991e967e9d55839",
+        {"fronts.csv": "339b0bd3f0c6fffc586e564d08209f873b7568553abf117b9e30101c2553f99f",
+         "mass.csv": "13867a6af31028216161ef5ba88cfde6ef0537a9f4eaa2d13f1831ef115e8dfa",
+         "speed.csv": "e4809811c2de0b9cb5ca69894a9ec0b339114db1d91c407d2d4dfc1011d9ca8c"},
+    ),
+    ("simulate", "--preset", "enhanced", *_SHRUNK, "--set", "snapshot_every=40"): (
+        0, "b097880328938efeeef971c0e4d21fe2ca604567ee7c365dd5e8ec4ebcd3c2d0",
+        {"fronts.csv": "74399f5c42ee8bdeaa15220f83abceb00dc99133255c2415209244d1556969b1",
+         "mass.csv": "07ddb18e30d108ea3d980bdf51d8b8a1c912492414bf2f5f2e2707df144466ab",
+         "speed.csv": "2bed3ad88747c8006ebdcd4e94842251232cc203cfe56569a4e46823694eb0ad"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_SHA256),
+                         ids=["validate", "validate_safety2", "simulate_kpp", "simulate_enhanced"])
+def test_simulate_and_validate_bytes_are_pinned(tmp_path, capsys, argv):
+    code, out_digest, file_digests = PINNED_SHA256[argv]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == out_digest
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == file_digests
 
 
 def test_sweep_rejects_unsorted_or_empty(tmp_path):

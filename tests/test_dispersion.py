@@ -307,6 +307,23 @@ def test_intersections_exactly_two_above_critical():
         assert b_minus.alpha < b_plus.alpha
 
 
+@pytest.mark.parametrize("D", [1e4, 1e6, 1e8])
+def test_intersections_find_the_narrow_crossings_at_large_D(D):
+    # just above c* the two crossings sit closer together than the even
+    # scan's node spacing (about 0.12 at D = 1e6); the gap's argmax splits
+    # their cell
+    p = make(D)
+    c_star = rf.critical_speed(p).c_star
+    for above in (1e-6, 1e-3, 0.1):
+        c = c_star * (1.0 + above)
+        points = rf.intersections(c, p).points
+        assert len(points) == 2
+        for pt in points:
+            ansatz = rf.ExponentialAnsatz(alpha=pt.alpha, beta=pt.beta,
+                                          gamma=rf.gamma_of_beta(pt.beta, p), c=c)
+            assert max(abs(r) for r in ansatz.residuals(p)) <= 1e-7
+
+
 def test_intersections_empty_below_critical():
     p = make(4.0)
     c_star = rf.critical_speed(p).c_star
@@ -524,6 +541,8 @@ def test_gap_argmax_is_interior_peak():
 
 _coeff = st.floats(0.2, 5.0)                     # d, mu and f'(0)
 _super = st.floats(2.0, 40.0, exclude_min=True)  # D/d above the threshold
+# D/d from just above 2 to 1e8, log-uniform
+_super_wide = st.floats(1e-9, math.log(5e7)).map(lambda u: 2.0 * math.exp(u))
 
 
 @settings(max_examples=25, deadline=None)
@@ -565,7 +584,7 @@ def test_strip_threshold_lies_between_c_kpp_and_c_star(d, mu, fp0, ratio, L):
 
 
 @settings(max_examples=25, deadline=None)
-@given(d=_coeff, mu=_coeff, fp0=_coeff, ratio=_super, above=st.floats(0.01, 1.0))
+@given(d=_coeff, mu=_coeff, fp0=_coeff, ratio=_super_wide, above=st.floats(0.01, 1.0))
 def test_two_intersections_above_c_star_solve_the_system(d, mu, fp0, ratio, above):
     p = make(ratio * d, d=d, mu=mu, fp0=fp0)
     c = rf.critical_speed(p).c_star * (1.0 + above)

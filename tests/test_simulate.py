@@ -97,11 +97,13 @@ def test_compact_bump_samples_expected_shape():
 
 def test_road_only_bump():
     g = small_grid()
-    state = rf.init_state(g, rf.InitialDatum.road_only_bump(center=1.0, width=2.0))
+    state = rf.init_state(g, rf.InitialDatum.road_only_bump(center=1.0, width=2.0, amplitude_u=0.5))
     assert np.all(state.v == 0.0)
     x = g.x()
     assert np.all(state.u[np.abs(x - 1.0) < 2.0] > 0.0)
     assert np.all(state.u[np.abs(x - 1.0) >= 2.0] == 0.0)
+    # the node at the centre carries the full amplitude
+    assert state.u.max() == state.u[np.argmin(np.abs(x - 1.0))] == 0.5
 
 
 def test_bump_outside_grid_is_empty():
