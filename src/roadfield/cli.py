@@ -42,11 +42,10 @@ __all__ = ["main", "validate_suites", "SuiteResult", "PRESETS", "Preset"]
 
 _FLOAT_SET_KEYS = {
     "D", "d", "mu", "nu", "fp0",
-    "tol", "L", "t_end", "dx", "dy", "x_min", "x_max", "y_max",
+    "tol", "t_end", "dx", "dy", "x_min", "x_max", "y_max",
     "safety", "threshold", "window_fraction",
 }
 _INT_SET_KEYS = {"snapshot_every", "seeds", "steps"}
-_STR_SET_KEYS = {"reaction"}
 
 
 def _parse_set_overrides(pairs: list[str]) -> dict:
@@ -66,10 +65,6 @@ def _parse_set_overrides(pairs: list[str]) -> dict:
                 out[key] = int(val)
             except ValueError as exc:
                 raise ConfigError(f"--set {key}: bad integer {val!r}") from exc
-        elif key in _STR_SET_KEYS:
-            if val != "logistic":
-                raise ConfigError("only reaction=logistic can be set from the command line")
-            out[key] = val
         else:
             raise ConfigError(f"--set: unknown key {key!r}")
     return out
@@ -87,9 +82,8 @@ def _load_params(args, preset_overrides: dict | None = None) -> tuple[ModelParam
         values.update({k: v for k, v in preset_overrides.items() if k in values})
     knobs = _parse_set_overrides(args.set or [])
     for key in CONFIG_KEYS:
-        if key in knobs and key != "reaction":
+        if key in knobs:
             values[key] = knobs.pop(key)
-    knobs.pop("reaction", None)
     try:
         params = ModelParams(D=values["D"], d=values["d"], mu=values["mu"],
                              nu=values["nu"], f_prime_0=values["fp0"])
@@ -163,7 +157,7 @@ def cmd_sweep(args) -> int:
 def cmd_strip(args) -> int:
     params, knobs = _load_params(args)
     tol = knobs.get("tol", dispersion.DEFAULT_TOL)
-    L = knobs.get("L", args.L)
+    L = args.L
     if L is None:
         raise ConfigError("strip needs --L <height>")
     norm = normalize_nu(params)
@@ -400,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value parameter file (D, d, mu, nu, fp0, reaction)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[],
-                       help="override a config key or solver knob (applied last)")
+                       help="override D, d, mu, nu, fp0 or a numeric knob (applied last)")
         p.add_argument("--out-dir", type=Path, default=Path("."),
                        help="directory for CSV outputs (default: current directory)")
 

@@ -422,6 +422,8 @@ def intersections(c: float, params: ModelParams) -> IntersectionSet:
     at c = 2.25 gives no points).
     """
     _require_normalized(params)
+    if params.D <= 0:
+        raise DomainError("intersections needs D > 0 (degenerate road has no curve)")
     lo = max(beta_D(c, params), -beta_kpp(c, params))
     hi = beta_kpp(c, params)
     grid = np.linspace(lo, hi, CROSSING_SCAN_POINTS)

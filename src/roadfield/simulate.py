@@ -108,7 +108,13 @@ class Grid:
         return self.y_max / (self.ny - 1)
 
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        """Nodes built outward from the midpoint.
+
+        On a domain symmetric about 0 this gives x == -x[::-1] exactly, which
+        np.linspace does not (e.g. on [-40, 40] with dx = 0.1).
+        """
+        offsets = np.arange(self.nx) - 0.5 * (self.nx - 1)
+        return 0.5 * (self.x_min + self.x_max) + offsets * self.dx
 
     def y(self) -> np.ndarray:
         return np.linspace(0.0, self.y_max, self.ny)
@@ -280,91 +286,68 @@ def _blowup_cap(u0: np.ndarray, v0: np.ndarray, params: ModelParams) -> float:
     return 10.0 * max(1.0, params.nu / params.mu * float(u0.max()), float(v0.max()))
 
 
-class _StepWork:
-    """Reusable buffers for the field update (the hot loop avoids reallocating)."""
-
-    def __init__(self, nx: int, ny: int):
-        self.pad = np.zeros((nx + 2, ny + 2))
-        self.t1 = np.empty((nx, ny))
-        self.t2 = np.empty((nx, ny))
-        self.lap_u = np.empty(nx)
-        self.u_mid = np.empty(nx)
-        self.u_sum = np.empty(nx)
-
-
 def _advance(
     u: np.ndarray,
     v: np.ndarray,
-    out_u: np.ndarray,
-    out_v: np.ndarray,
     params: ModelParams,
     dt: float,
     dx: float,
     dy: float,
     reaction: ReactionFunction | None,
-    work: _StepWork,
     substeps: int = 1,
-) -> None:
-    """Advance (u, v) by substeps*dt into (out_u, out_v).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return (u, v) advanced by substeps*dt, in new arrays; the inputs are not written.
 
     The road takes ``substeps`` forward-Euler steps of dt against the frozen
     trace v[:, 0]; the field then takes one step of substeps*dt whose
     exchange ghost sees the mean of the road states those substeps started
     from, so the road gains exactly what the field loses.  With substeps=1
-    this is one plain forward-Euler update.  The spacings come in
-    explicitly, not from a Grid, so a folded run steps its half domain with
-    the full grid's dt, dx and dy bit for bit.
+    this is one plain forward-Euler update (u/1 and 1*dt are exact).  The
+    spacings come in explicitly, not from a Grid, so a folded run steps its
+    half domain with the full grid's dt, dx and dy bit for bit.
     """
     dx2, dy2 = dx**2, dy**2
     D, d, mu, nu = params.D, params.d, params.mu, params.nu
     v0 = v[:, 0]
 
-    # road: 3-point Laplacian in x, mirror ghosts at both ends; the substeps
-    # alternate between u_mid and out_u so that the last one lands in out_u
-    lap_u = work.lap_u
-    u_bar, field_dt = u, dt
-    if substeps > 1:
-        u_bar = work.u_sum
-        u_bar[:] = u
-    src = u
+    # road: 3-point Laplacian in x, mirror ghosts at both ends
+    lap = np.empty_like(u)
+    src = u_sum = u
     for s in range(substeps):
         if s > 0:
-            u_bar += src
-        dst = out_u if (substeps - s) % 2 == 1 else work.u_mid
-        np.add(src[2:], src[:-2], out=lap_u[1:-1])
-        lap_u[0] = src[1] + src[1]
-        lap_u[-1] = src[-2] + src[-2]
-        lap_u -= src
-        lap_u -= src
-        dst[:] = src
-        dst += (dt * D / dx2) * lap_u
+            u_sum = u_sum + src
+        np.add(src[2:], src[:-2], out=lap[1:-1])
+        lap[0] = src[1] + src[1]
+        lap[-1] = src[-2] + src[-2]
+        lap -= src
+        lap -= src
+        dst = src + (dt * D / dx2) * lap
         dst += dt * (nu * v0 - mu * src)
         src = dst
-    if substeps > 1:
-        u_bar /= substeps
-        field_dt = substeps * dt
+    u_bar = u_sum / substeps
+    field_dt = substeps * dt
 
-    # field: ghost padding (mirrors laterally and on top, exchange flux below)
-    pad = work.pad
+    # field: ghost padding (mirrors laterally and on top, exchange flux below);
+    # the corners of pad are never read
+    pad = np.empty((v.shape[0] + 2, v.shape[1] + 2))
     pad[1:-1, 1:-1] = v
     pad[0, 1:-1] = v[1, :]
     pad[-1, 1:-1] = v[-2, :]
     pad[1:-1, -1] = v[:, -2]
     pad[1:-1, 0] = v[:, 1] + (2.0 * dy / d) * (mu * u_bar - nu * v0)
 
-    t1, t2 = work.t1, work.t2
-    np.add(pad[2:, 1:-1], pad[:-2, 1:-1], out=t1)
+    t1 = pad[2:, 1:-1] + pad[:-2, 1:-1]
     t1 -= v
     t1 -= v
     t1 *= field_dt * d / dx2
-    np.add(pad[1:-1, 2:], pad[1:-1, :-2], out=t2)
+    t2 = pad[1:-1, 2:] + pad[1:-1, :-2]
     t2 -= v
     t2 -= v
     t2 *= field_dt * d / dy2
     t1 += t2
     if reaction is not None:
         t1 += field_dt * np.asarray(reaction(v))
-    np.add(v, t1, out=out_v)
+    return src, v + t1
 
 
 def step(
@@ -386,18 +369,15 @@ def step(
         raise ValueError("state shape does not match grid")
     f = params.reaction if reaction is _USE_PARAMS else reaction
     cap = _blowup_cap(state.u, state.v, params) if max_value is None else max_value
-    work = _StepWork(grid.nx, grid.ny)
-    out_u = np.empty_like(state.u)
-    out_v = np.empty_like(state.v)
-    _advance(state.u, state.v, out_u, out_v, params, grid.dt, grid.dx, grid.dy, f, work)
-    m = max(float(out_u.max()), float(out_v.max()))
+    u, v = _advance(state.u, state.v, params, grid.dt, grid.dx, grid.dy, f)
+    m = max(float(u.max()), float(v.max()))
     if not m <= cap:
         raise BlowUpError(
             f"state exceeded {cap} (or went non-finite) at t={state.t + grid.dt}: "
             "the scheme is unstable for this dt",
             t=state.t + grid.dt,
         )
-    return FieldState(t=state.t + grid.dt, u=out_u, v=out_v)
+    return FieldState(t=state.t + grid.dt, u=u, v=v)
 
 
 def total_mass(state: FieldState, grid: Grid) -> float:
@@ -447,9 +427,8 @@ def run(
     n_steps = _step_count(t_end, grid.dt)
     fold = grid.nx % 2 == 1 and _is_mirror_symmetric(state0.u, state0.v)
     first = grid.nx // 2 if fold else 0
-    u_prev, v_prev = state0.u[first:].copy(), state0.v[first:].copy()
-    u_next, v_next = np.empty_like(u_prev), np.empty_like(v_prev)
-    work = _StepWork(u_prev.shape[0], grid.ny)
+    # copied: a custom datum's samplers may return the caller's own arrays
+    u, v = state0.u[first:].copy(), state0.v[first:].copy()
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     substeps = road_substeps(grid, params)
 
@@ -464,31 +443,30 @@ def run(
             u, v = _unfold(u), _unfold(v)
         times.append(t)
         mass.append(total_mass(FieldState(t=t, u=u, v=v), grid))
-        road_snaps.append((t, u.copy()))
+        road_snaps.append((t, u))
+        # copied, so that the record does not keep every field array alive
         trace_snaps.append((t, v[:, 0].copy()))
 
-    record(0, u_prev, v_prev)
+    record(0, u, v)
     k = 0
     while k < n_steps:
         # one field step spans m grid steps, never past a snapshot or the end
         m = min(substeps, n_steps - k, snapshot_every - k % snapshot_every)
-        _advance(u_prev, v_prev, u_next, v_next, params, dt, dx, dy, f, work, m)
+        u, v = _advance(u, v, params, dt, dx, dy, f, m)
         k += m
-        top = max(float(u_next.max()), float(v_next.max()))
+        top = max(float(u.max()), float(v.max()))
         if not top <= cap:
             raise BlowUpError(
                 f"blow-up at step {k} (t={k * grid.dt}): max value {top} exceeds cap {cap}",
                 step=k,
                 t=k * grid.dt,
             )
-        u_prev, u_next = u_next, u_prev
-        v_prev, v_next = v_next, v_prev
         if k % snapshot_every == 0 or k == n_steps:
-            record(k, u_prev, v_prev)
+            record(k, u, v)
 
     if fold:
-        u_prev, v_prev = _unfold(u_prev), _unfold(v_prev)
-    final = FieldState(t=n_steps * grid.dt, u=u_prev.copy(), v=v_prev.copy())
+        u, v = _unfold(u), _unfold(v)
+    final = FieldState(t=n_steps * grid.dt, u=u, v=v)
     return RunRecord(
         times=np.asarray(times),
         mass=np.asarray(mass),

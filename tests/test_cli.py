@@ -61,8 +61,14 @@ def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, override):
     assert "finite" in capsys.readouterr().err
 
 
-def test_unknown_set_key_rejected(tmp_path):
-    assert main(["speed", "--set", "bogus=1", "--out-dir", str(tmp_path)]) == 2
+@pytest.mark.parametrize("argv", [
+    ("speed", "--set", "bogus=1"),
+    # the strip height comes only from --L, the reaction only from the config file
+    ("strip", "--L", "10", "--set", "L=20"),
+    ("speed", "--set", "reaction=logistic"),
+], ids=["bogus", "L", "reaction"])
+def test_unknown_set_key_rejected(tmp_path, argv):
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
 
 
 def test_speed_output_is_deterministic(tmp_path):

@@ -330,6 +330,12 @@ def test_intersections_empty_below_critical():
     assert rf.intersections(c_star - 0.05, p).points == ()
 
 
+@pytest.mark.filterwarnings("error")
+def test_intersections_reject_the_degenerate_road():
+    with pytest.raises(DomainError):
+        rf.intersections(2.5, make(0.0))
+
+
 def test_intersection_points_solve_full_system():
     p = make(4.0)
     c = rf.critical_speed(p).c_star + 0.2

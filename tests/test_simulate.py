@@ -316,22 +316,23 @@ def _spy_advance(monkeypatch) -> list[tuple[int, int]]:
     calls: list[tuple[int, int]] = []
     kernel = simulate._advance
 
-    def spy(u, v, out_u, out_v, params, dt, dx, dy, reaction, work, substeps=1):
+    def spy(u, v, params, dt, dx, dy, reaction, substeps=1):
         calls.append((u.shape[0], substeps))
-        return kernel(u, v, out_u, out_v, params, dt, dx, dy, reaction, work, substeps)
+        return kernel(u, v, params, dt, dx, dy, reaction, substeps)
 
     monkeypatch.setattr(simulate, "_advance", spy)
     return calls
 
 
 def _iterate_step(params, grid, datum, n_steps, snapshot_every, **kw):
+    """States of iterated step() at the steps run() records, step 0 first."""
     state = rf.init_state(grid, datum)
-    masses = [rf.total_mass(state, grid)]
+    states = [state]
     for k in range(1, n_steps + 1):
         state = rf.step(state, params, grid, **kw)
         if k % snapshot_every == 0 or k == n_steps:
-            masses.append(rf.total_mass(state, grid))
-    return state, np.asarray(masses)
+            states.append(state)
+    return states
 
 
 @pytest.mark.parametrize("reaction", ["logistic", None])
@@ -346,13 +347,30 @@ def test_run_equals_iterated_step_bit_for_bit(monkeypatch, reaction, center, fol
     calls = _spy_advance(monkeypatch)
     rec = rf.run(params, grid, datum, t_end=150 * grid.dt, snapshot_every=20, **kw)
     assert set(calls) == {(grid.nx // 2 + 1 if folded else grid.nx, 1)}
-    state, masses = _iterate_step(params, grid, datum, 150, 20, **kw)
-    assert np.array_equal(rec.final_state.u, state.u)
-    assert np.array_equal(rec.final_state.v, state.v)
-    assert np.array_equal(rec.mass, masses)
-    last_u = rec.road_profile_snapshots[-1][1]
-    assert last_u.shape == (grid.nx,) and np.array_equal(last_u, state.u)
-    assert np.array_equal(rec.field_trace_snapshots[-1][1], state.v[:, 0])
+    states = _iterate_step(params, grid, datum, 150, 20, **kw)
+    assert np.array_equal(rec.final_state.u, states[-1].u)
+    assert np.array_equal(rec.final_state.v, states[-1].v)
+    assert np.array_equal(rec.mass, [rf.total_mass(s, grid) for s in states])
+    # every snapshot, not only the last: the record shares arrays with the run
+    assert len(rec.road_profile_snapshots) == len(states)
+    for t, (t_u, u), (t_v, v0), s in zip(rec.times, rec.road_profile_snapshots,
+                                         rec.field_trace_snapshots, states):
+        assert t_u == t_v == t
+        assert u.shape == (grid.nx,) and np.array_equal(u, s.u)
+        assert np.array_equal(v0, s.v[:, 0])
+
+
+def test_symmetric_domain_nodes_are_exactly_antisymmetric(monkeypatch):
+    # np.linspace misses -x[::-1] at 534 of these 801 nodes, so the centred
+    # bump was not its own mirror image and run() integrated the full domain
+    params = rf.ModelParams(D=1.0, d=1.0, mu=1.0)
+    grid = rf.build_grid(-40.0, 40.0, 2.0, 0.1, 0.1, params, 0.4)
+    x = grid.x()
+    assert np.array_equal(x, -x[::-1])
+    assert x[0] == grid.x_min and x[-1] == grid.x_max
+    calls = _spy_advance(monkeypatch)
+    rf.run(params, grid, rf.InitialDatum.compact_bump(), t_end=3 * grid.dt, reaction=None)
+    assert {width for width, _ in calls} == {grid.nx // 2 + 1}
 
 
 def test_even_nx_runs_the_full_domain(monkeypatch):
@@ -521,7 +539,7 @@ def test_multirate_converges_to_the_single_rate_scheme():
         assert simulate.road_substeps(grid, params) == 5
         n_steps = int(round(5.0 / grid.dt))
         rec = rf.run(params, grid, datum, t_end=5.0, snapshot_every=n_steps)
-        state, _ = _iterate_step(params, grid, datum, n_steps, n_steps)
+        state = _iterate_step(params, grid, datum, n_steps, n_steps)[-1]
         gaps.append(max(np.abs(rec.final_state.u - state.u).max(),
                         np.abs(rec.final_state.v - state.v).max()))
     assert gaps[0] >= 3.0 * gaps[1] > 0.0
@@ -543,6 +561,58 @@ def test_front_speed_in_the_sqrt_D_regime():
     assert abs(speed - c_star) <= 0.10 * c_star
     lo, hi = rf.limit_bounds(params)
     assert lo <= (speed / 10.0) ** 2 <= hi
+
+
+# --- kernel ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("substeps", [1, 5])
+def test_advance_leaves_its_inputs_unchanged(substeps):
+    # run() and the record share arrays: nothing may write to an array once returned
+    grid = fast_road_grid(dx=0.5)
+    rng = np.random.default_rng(31)
+    u, v = rng.random(grid.nx), rng.random((grid.nx, grid.ny))
+    u0, v0 = u.copy(), v.copy()
+    new_u, new_v = simulate._advance(u, v, P10, grid.dt, grid.dx, grid.dy, P10.reaction,
+                                     substeps)
+    assert np.array_equal(u, u0) and np.array_equal(v, v0)
+    assert not np.shares_memory(new_u, u) and not np.shares_memory(new_v, v)
+    assert not np.array_equal(new_u, u0) and not np.array_equal(new_v, v0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(3, 12),
+    ny=st.integers(3, 8),
+    D_over_2d=st.sampled_from([0.25, 0.9, 1.1, 5.0]),
+    d=st.floats(0.1, 3.0),
+    mu=st.floats(0.1, 3.0),
+    nu=st.floats(0.1, 8.0),
+    fp0=st.floats(0.1, 3.0),
+    with_reaction=st.booleans(),
+)
+def test_step_keeps_random_ordered_pairs_ordered_and_nonnegative(
+    seed, nx, ny, D_over_2d, d, mu, nu, fp0, with_reaction
+):
+    # D on both sides of the threshold 2d; dt from cfl_dt at the default safety
+    params = rf.ModelParams(D=2.0 * d * D_over_2d, d=d, mu=mu, nu=nu, f_prime_0=fp0)
+    probe = rf.Grid(x_min=-1.0, x_max=1.0, y_max=1.0, nx=nx, ny=ny, dt=1.0)
+    grid = rf.Grid(x_min=-1.0, x_max=1.0, y_max=1.0, nx=nx, ny=ny,
+                   dt=rf.cfl_dt(probe, params, 0.4))
+    reaction = params.reaction if with_reaction else None
+    # below the equilibrium (nu/mu, 1), where the logistic reaction keeps the map monotone
+    rng = np.random.default_rng(seed)
+    u_lo = 0.5 * nu / mu * rng.random(nx)
+    v_lo = 0.5 * rng.random((nx, ny))
+    lo = rf.FieldState(t=0.0, u=u_lo, v=v_lo)
+    hi = rf.FieldState(t=0.0, u=u_lo + 0.5 * nu / mu * rng.random(nx),
+                       v=v_lo + 0.5 * rng.random((nx, ny)))
+    for _ in range(20):
+        lo = rf.step(lo, params, grid, reaction=reaction)
+        hi = rf.step(hi, params, grid, reaction=reaction)
+        assert rf.is_ordered(lo, hi)
+        assert lo.u.min() >= 0.0 and lo.v.min() >= 0.0
 
 
 # --- CSV output -----------------------------------------------------------------------
