@@ -11,10 +11,17 @@ so the j=0 row uses the same 5-point stencil as the interior.  The update is
 forward Euler.  :func:`cfl_dt` bounds dt by one term per loss from a
 stencil's centre weight: road diffusion dx^2/(2D), field diffusion
 1/(2d(1/dx^2+1/dy^2)), the road row's exchange loss dy/(2nu) and the
-reaction 1/(mu+nu+f'(0)), so each loss is at most ``safety`` (0.4 by
-default) of the unit weight.  With every weight nonnegative the map is
-monotone: componentwise-ordered states stay ordered, nonnegative data stay
-nonnegative, and the pair (nu/mu, 1) is an exact fixed point.
+reaction 1/(mu+nu+f'(0)), so each loss on its own is at most ``safety``
+(0.4 by default) of the unit weight.  The map is monotone (componentwise-
+ordered states stay ordered, nonnegative data stay nonnegative) while every
+centre weight stays nonnegative, i.e. while the losses one node takes at
+once sum to at most 1.  The per-term bound does not ensure that: the road
+row's field node takes three losses at once (field diffusion, the exchange
+2*dt*nu/dy and the reaction), up to 1.2 at safety 0.4.  With
+ModelParams(D=1, d=1, mu=0.1, nu=4, f_prime_0=11.9) on
+build_grid(-2, 2, 2, 0.5, 0.5, params, 0.4) that sum is 1.0975 at v = 1,
+and a step lifts a road-row node of a state just under the equilibrium
+above it.  The pair (nu/mu, 1) is an exact fixed point in every case.
 With the reaction switched off the ghost discretisation balances road and
 field exchange exactly, so trapezoidal total mass is conserved to rounding.
 
@@ -37,7 +44,9 @@ its own mirror image bit for bit, it integrates only the columns from the
 centre to x_max, with the centre column's mirror wall as the symmetry line,
 and unfolds the half before every mass, snapshot and final state.  The
 record is then bit-identical to the full-domain integration at half the
-cost.  :func:`step` always advances the full domain.
+cost.  :func:`step` always advances the full domain.  It also advances a
+batch of states (leading axes on u and v) in one kernel call, each member
+bit for bit as it would advance alone.
 
 Unlike the dispersion algebra, everything here works in the original
 variables (nu need not be 1).
@@ -141,10 +150,13 @@ def _cfl_terms(grid: Grid, params: ModelParams) -> dict[str, float]:
 
 
 def cfl_dt(grid: Grid, params: ModelParams, safety: float) -> float:
-    """Largest stable forward-Euler step, scaled by ``safety``.
+    """Forward-Euler step bounding each centre-weight loss by ``safety``.
 
     safety * min( dx^2/(2D),  1/(2d(1/dx^2+1/dy^2)),  dy/(2nu),  1/(mu+nu+f'(0)) );
-    the road-diffusion term is dropped when D=0.
+    the road-diffusion term is dropped when D=0.  Each loss is capped on its
+    own, so safety <= 1 alone does not make the step monotone: the road
+    row's field node loses field diffusion, exchange and reaction at once,
+    and their sum can exceed 1 (see the module docstring).
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety must be in (0, 1], got {safety}")
@@ -241,7 +253,9 @@ class FieldState:
     """Road density u(x) and field density v(x, y) at time t.
 
     u has shape (nx,), v has shape (nx, ny) with v[:, 0] the trace on the
-    road.  Arrays are treated as immutable once a state is built.
+    road.  :func:`step` also takes a batch of states at one time: u of shape
+    (..., nx) and v of shape u.shape + (ny,).  Arrays are treated as
+    immutable once a state is built.
     """
 
     t: float
@@ -282,8 +296,18 @@ def init_state(grid: Grid, datum: InitialDatum) -> FieldState:
     return FieldState(t=0.0, u=u, v=v)
 
 
-def _blowup_cap(u0: np.ndarray, v0: np.ndarray, params: ModelParams) -> float:
-    return 10.0 * max(1.0, params.nu / params.mu * float(u0.max()), float(v0.max()))
+def _blowup_cap(u0: np.ndarray, v0: np.ndarray, params: ModelParams) -> float | np.ndarray:
+    """10 x max(1, nu/mu sup u, sup v), one cap per state of a batch."""
+    ratio = params.nu / params.mu
+    if u0.ndim == 1:
+        # Python floats: numpy's scalar maximum is a measurable share of a one-state step
+        return 10.0 * max(1.0, ratio * float(u0.max()), float(v0.max()))
+    return 10.0 * np.maximum(1.0, np.maximum(ratio * u0.max(axis=-1), v0.max(axis=(-2, -1))))
+
+
+def _within_cap(u: np.ndarray, v: np.ndarray, cap):
+    """Per state of a batch: sup u <= cap and sup v <= cap; False where either holds a NaN."""
+    return (u.max(axis=-1) <= cap) & (v.max(axis=(-2, -1)) <= cap)
 
 
 def _advance(
@@ -298,8 +322,11 @@ def _advance(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return (u, v) advanced by substeps*dt, in new arrays; the inputs are not written.
 
+    u has shape (..., nx) and v shape (..., nx, ny): any leading axes are a
+    batch of independent states.  Every operation is elementwise along the
+    batch, so each state's result is bit-identical to advancing it alone.
     The road takes ``substeps`` forward-Euler steps of dt against the frozen
-    trace v[:, 0]; the field then takes one step of substeps*dt whose
+    trace v[..., 0]; the field then takes one step of substeps*dt whose
     exchange ghost sees the mean of the road states those substeps started
     from, so the road gains exactly what the field loses.  With substeps=1
     this is one plain forward-Euler update (u/1 and 1*dt are exact).  The
@@ -308,17 +335,19 @@ def _advance(
     """
     dx2, dy2 = dx**2, dy**2
     D, d, mu, nu = params.D, params.d, params.mu, params.nu
-    v0 = v[:, 0]
+    v0 = v[..., 0]
 
-    # road: 3-point Laplacian in x, mirror ghosts at both ends
-    lap = np.empty_like(u)
+    # road: 3-point Laplacian in x, mirror ghosts at both ends; a padded copy,
+    # since two 0-d updates would slow a one-state step measurably
+    upad = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
     src = u_sum = u
     for s in range(substeps):
         if s > 0:
             u_sum = u_sum + src
-        np.add(src[2:], src[:-2], out=lap[1:-1])
-        lap[0] = src[1] + src[1]
-        lap[-1] = src[-2] + src[-2]
+        upad[..., 1:-1] = src
+        upad[..., 0] = src[..., 1]
+        upad[..., -1] = src[..., -2]
+        lap = upad[..., 2:] + upad[..., :-2]
         lap -= src
         lap -= src
         dst = src + (dt * D / dx2) * lap
@@ -329,18 +358,18 @@ def _advance(
 
     # field: ghost padding (mirrors laterally and on top, exchange flux below);
     # the corners of pad are never read
-    pad = np.empty((v.shape[0] + 2, v.shape[1] + 2))
-    pad[1:-1, 1:-1] = v
-    pad[0, 1:-1] = v[1, :]
-    pad[-1, 1:-1] = v[-2, :]
-    pad[1:-1, -1] = v[:, -2]
-    pad[1:-1, 0] = v[:, 1] + (2.0 * dy / d) * (mu * u_bar - nu * v0)
+    pad = np.empty(v.shape[:-2] + (v.shape[-2] + 2, v.shape[-1] + 2))
+    pad[..., 1:-1, 1:-1] = v
+    pad[..., 0, 1:-1] = v[..., 1, :]
+    pad[..., -1, 1:-1] = v[..., -2, :]
+    pad[..., 1:-1, -1] = v[..., -2]
+    pad[..., 1:-1, 0] = v[..., 1] + (2.0 * dy / d) * (mu * u_bar - nu * v0)
 
-    t1 = pad[2:, 1:-1] + pad[:-2, 1:-1]
+    t1 = pad[..., 2:, 1:-1] + pad[..., :-2, 1:-1]
     t1 -= v
     t1 -= v
     t1 *= field_dt * d / dx2
-    t2 = pad[1:-1, 2:] + pad[1:-1, :-2]
+    t2 = pad[..., 1:-1, 2:] + pad[..., 1:-1, :-2]
     t2 -= v
     t2 -= v
     t2 *= field_dt * d / dy2
@@ -356,24 +385,33 @@ def step(
     grid: Grid,
     *,
     reaction=_USE_PARAMS,
-    max_value: float | None = None,
+    max_value: float | np.ndarray | None = None,
 ) -> FieldState:
     """One explicit update of the coupled state; pure function of its inputs.
 
-    ``reaction=None`` integrates the pure-exchange system (f == 0).  The
-    caller is responsible for dt satisfying the CFL bound.  Raises
-    BlowUpError when any entry exceeds ``max_value`` (default: 10x the
-    state's own equilibrium-adjusted supremum) or turns non-finite.
+    The state may be a batch: u of shape (..., nx) and v of shape
+    u.shape + (ny,), all at the one time state.t.  Each member is advanced
+    exactly as it would be alone (see :func:`_advance`).  ``reaction=None``
+    integrates the pure-exchange system (f == 0).  The caller is responsible
+    for dt satisfying the CFL bound.  Raises BlowUpError when a member
+    exceeds its cap or turns non-finite; the cap is ``max_value`` (a number,
+    or an array of the batch shape) or by default 10x the member's own
+    equilibrium-adjusted supremum, so a batch raises exactly when one of its
+    members would raise alone.
     """
-    if state.u.shape != (grid.nx,) or state.v.shape != (grid.nx, grid.ny):
+    if state.u.shape[-1:] != (grid.nx,) or state.v.shape != state.u.shape + (grid.ny,):
         raise ValueError("state shape does not match grid")
     f = params.reaction if reaction is _USE_PARAMS else reaction
     cap = _blowup_cap(state.u, state.v, params) if max_value is None else max_value
     u, v = _advance(state.u, state.v, params, grid.dt, grid.dx, grid.dy, f)
-    m = max(float(u.max()), float(v.max()))
-    if not m <= cap:
+    ok = _within_cap(u, v, cap)
+    # one state gives a numpy bool, whose .all() would slow the step measurably
+    if not (ok.all() if ok.ndim else ok):
+        # the first failing member, () for one state
+        at = np.unravel_index(np.argmin(ok), ok.shape)
         raise BlowUpError(
-            f"state exceeded {cap} (or went non-finite) at t={state.t + grid.dt}: "
+            f"state{list(map(int, at)) if at else ''} exceeded "
+            f"{np.broadcast_to(cap, ok.shape)[at]} (or went non-finite) at t={state.t + grid.dt}: "
             "the scheme is unstable for this dt",
             t=state.t + grid.dt,
         )
@@ -454,8 +492,8 @@ def run(
         m = min(substeps, n_steps - k, snapshot_every - k % snapshot_every)
         u, v = _advance(u, v, params, dt, dx, dy, f, m)
         k += m
-        top = max(float(u.max()), float(v.max()))
-        if not top <= cap:
+        if not _within_cap(u, v, cap):
+            top = np.maximum(u.max(), v.max())
             raise BlowUpError(
                 f"blow-up at step {k} (t={k * grid.dt}): max value {top} exceeds cap {cap}",
                 step=k,

@@ -5,8 +5,8 @@ desk-scale simulation measurements with the tolerances pinned below; 12
 records that the underlying statements are asymptotic and these finite
 computations are their agreed surrogates.  Run with ``pytest -s
 tests/test_acceptance.py`` to see the per-criterion lines live.  Criteria
-7-11 carry the ``slow`` marker: ``pytest -m "not slow"`` skips them for a
-fast loop.
+7 and 9-11 carry the ``slow`` marker: ``pytest -m "not slow"`` skips them
+for a fast loop.
 """
 
 import math
@@ -126,30 +126,29 @@ def test_c07_mass_conservation():
            f"relative mass drift over t<=5 with f==0: {drift:.3e} <= 1e-6")
 
 
-@pytest.mark.slow
 def test_c08_discrete_comparison_principle():
+    # the 200 pairs advance as one batch; each member matches its own step() bit for bit
     params = make(1.0)
     grid = rf.build_grid(-6.0, 6.0, 4.0, 0.5, 0.5, params, 0.4)
-    failures = 0
+    u_lo, u_hi = np.empty((200, grid.nx)), np.empty((200, grid.nx))
+    v_lo, v_hi = np.empty((200, grid.nx, grid.ny)), np.empty((200, grid.nx, grid.ny))
     for seed in range(200):
         rng = np.random.default_rng(1_000 + seed)
-        u_lo = 0.5 * rng.random(grid.nx)
-        v_lo = 0.5 * rng.random((grid.nx, grid.ny))
-        lo = rf.FieldState(t=0.0, u=u_lo, v=v_lo)
-        hi = rf.FieldState(t=0.0, u=u_lo + 0.5 * rng.random(grid.nx),
-                           v=v_lo + 0.5 * rng.random((grid.nx, grid.ny)))
-        for _ in range(500):
-            lo = rf.step(lo, params, grid)
-            hi = rf.step(hi, params, grid)
-            if not rf.is_ordered(lo, hi):
-                failures += 1
-                break
-        if failures:
-            break
-    ok = failures == 0
+        u_lo[seed] = 0.5 * rng.random(grid.nx)
+        v_lo[seed] = 0.5 * rng.random((grid.nx, grid.ny))
+        u_hi[seed] = u_lo[seed] + 0.5 * rng.random(grid.nx)
+        v_hi[seed] = v_lo[seed] + 0.5 * rng.random((grid.nx, grid.ny))
+    lo = rf.FieldState(t=0.0, u=u_lo, v=v_lo)
+    hi = rf.FieldState(t=0.0, u=u_hi, v=v_hi)
+    broken = np.zeros(200, dtype=bool)
+    for _ in range(500):
+        lo = rf.step(lo, params, grid)
+        hi = rf.step(hi, params, grid)
+        broken |= ~(np.all(lo.u <= hi.u, axis=-1) & np.all(lo.v <= hi.v, axis=(-2, -1)))
+    ok = not broken.any()
     report("criterion 8 (discrete comparison principle)", ok,
            "ordering preserved for 500 steps across 200 seeded ordered pairs"
-           if ok else f"ordering broken (seed {seed})")
+           if ok else f"ordering broken (seed {np.argmax(broken)})")
 
 
 @pytest.mark.slow

@@ -325,3 +325,32 @@ def test_validate_ordering_holds_under_strong_exchange(tmp_path, capsys, nu):
     rows = dict(line.split(",", 1) for line in
                 (tmp_path / "validate.csv").read_text().splitlines()[1:])
     assert rows["ordering"].startswith("true,")
+
+
+def test_validate_ordering_reports_what_one_pair_at_a_time_reports():
+    # f = 30 s (1 - s) under f'(0) = 1 leaves dt too large for a monotone step:
+    # seeds 8, 10 and 12 break at step 12, seed 0 at step 13; the batched suite
+    # must report seed 0's worst violation, as the sequential loop does
+    steep = rf.ReactionFunction(lambda s: 30.0 * s * (1.0 - s), 1.0)
+    params = rf.ModelParams(D=1, d=1, mu=1, f_prime_0=1, reaction=steep)
+    grid = rf.build_grid(-6.0, 6.0, 4.0, 0.5, 0.5, params, 0.4)
+    expected = None
+    for seed in range(20):
+        rng = np.random.default_rng(20_000 + seed)
+        u_lo, v_lo = 0.5 * rng.random(grid.nx), 0.5 * rng.random((grid.nx, grid.ny))
+        lo = rf.FieldState(t=0.0, u=u_lo, v=v_lo)
+        hi = rf.FieldState(t=0.0, u=u_lo + 0.5 * rng.random(grid.nx),
+                           v=v_lo + 0.5 * rng.random((grid.nx, grid.ny)))
+        for _ in range(200):
+            lo, hi = rf.step(lo, params, grid), rf.step(hi, params, grid)
+            if not rf.is_ordered(lo, hi):
+                expected = max((lo.u - hi.u).max(), (lo.v - hi.v).max())
+                break
+        if expected is not None:
+            break
+    assert seed == 0 and expected > 0.0
+    results = validate_suites(params)
+    ordering = {r.suite: r for r in results}["ordering"]
+    assert ordering.passed is False and ordering.value == expected
+    # plain Python types in every suite, not numpy scalars
+    assert all(type(r.passed) is bool and type(r.value) is float for r in results)

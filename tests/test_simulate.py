@@ -615,6 +615,100 @@ def test_step_keeps_random_ordered_pairs_ordered_and_nonnegative(
         assert lo.u.min() >= 0.0 and lo.v.min() >= 0.0
 
 
+# --- batches -------------------------------------------------------------------------
+
+
+def _random_batch(rng, shape, nx, ny):
+    return rng.random(shape + (nx,)), rng.random(shape + (nx, ny))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 6),
+    nx=st.integers(3, 12),
+    ny=st.integers(3, 8),
+    D_over_2d=st.sampled_from([0.25, 0.9, 1.1, 5.0]),
+    d=st.floats(0.1, 3.0),
+    mu=st.floats(0.1, 3.0),
+    nu=st.floats(0.1, 8.0),
+    with_reaction=st.booleans(),
+)
+def test_batched_step_equals_each_member_stepped_alone(
+    seed, batch, nx, ny, D_over_2d, d, mu, nu, with_reaction
+):
+    params = rf.ModelParams(D=2.0 * d * D_over_2d, d=d, mu=mu, nu=nu)
+    probe = rf.Grid(x_min=-1.0, x_max=1.0, y_max=1.0, nx=nx, ny=ny, dt=1.0)
+    grid = rf.Grid(x_min=-1.0, x_max=1.0, y_max=1.0, nx=nx, ny=ny,
+                   dt=rf.cfl_dt(probe, params, 0.4))
+    reaction = params.reaction if with_reaction else None
+    u, v = _random_batch(np.random.default_rng(seed), (batch,), nx, ny)
+    out = rf.step(rf.FieldState(t=0.5, u=u, v=v), params, grid, reaction=reaction)
+    assert out.t == 0.5 + grid.dt
+    assert out.u.shape == u.shape and out.v.shape == v.shape
+    for b in range(batch):
+        alone = rf.step(rf.FieldState(t=0.5, u=u[b], v=v[b]), params, grid, reaction=reaction)
+        assert np.array_equal(out.u[b], alone.u) and np.array_equal(out.v[b], alone.v)
+
+
+@pytest.mark.parametrize("substeps", [1, 5])
+def test_batched_advance_equals_each_member_advanced_alone(substeps):
+    grid = fast_road_grid(dx=0.5)
+    u, v = _random_batch(np.random.default_rng(37), (2, 3), grid.nx, grid.ny)
+    u0, v0 = u.copy(), v.copy()
+    new_u, new_v = simulate._advance(u, v, P10, grid.dt, grid.dx, grid.dy, P10.reaction,
+                                     substeps)
+    assert np.array_equal(u, u0) and np.array_equal(v, v0)
+    for i in range(2):
+        for j in range(3):
+            alone_u, alone_v = simulate._advance(u[i, j], v[i, j], P10, grid.dt, grid.dx,
+                                                 grid.dy, P10.reaction, substeps)
+            assert np.array_equal(new_u[i, j], alone_u)
+            assert np.array_equal(new_v[i, j], alone_v)
+
+
+def _uniform_batch(grid, levels):
+    # (u, v) = (c, c) with nu = mu is a fixed point of diffusion and exchange,
+    # so only the reaction moves it, whatever dt is
+    levels = np.asarray(levels, dtype=float)
+    return rf.FieldState(t=0.0, u=levels[:, None] * np.ones(grid.nx),
+                         v=levels[:, None, None] * np.ones((grid.nx, grid.ny)))
+
+
+def test_batch_blows_up_exactly_when_a_member_exceeds_its_own_cap():
+    # f(s) = 20 s exp(-s) with dt = 2 lifts v = 0.5 to 12.6, over its own cap
+    # 10, and leaves v = 30 at 30, over that cap but under its own 300
+    grid = rf.Grid(x_min=-1.0, x_max=1.0, y_max=1.0, nx=5, ny=3, dt=2.0)
+    hump = rf.ReactionFunction(lambda s: 20.0 * s * np.exp(-s), f_prime_0=1.0)
+    state = _uniform_batch(grid, [0.5, 30.0])
+    assert simulate._blowup_cap(state.u, state.v, P1).tolist() == [10.0, 300.0]
+    with pytest.raises(BlowUpError):
+        rf.step(rf.FieldState(t=0.0, u=state.u[0], v=state.v[0]), P1, grid, reaction=hump)
+    rf.step(rf.FieldState(t=0.0, u=state.u[1], v=state.v[1]), P1, grid, reaction=hump)
+    with pytest.raises(BlowUpError, match=r"state\[0\] exceeded 10\.0"):
+        rf.step(state, P1, grid, reaction=hump)
+
+
+def test_batch_member_above_another_members_cap_does_not_blow_up():
+    # v = 30 stays at 30: above the first member's cap 10, under its own 300
+    grid = rf.Grid(x_min=-1.0, x_max=1.0, y_max=1.0, nx=5, ny=3, dt=2.0)
+    state = _uniform_batch(grid, [0.5, 30.0])
+    out = rf.step(state, P1, grid, reaction=None)
+    assert np.array_equal(out.u, state.u) and np.array_equal(out.v, state.v)
+
+
+@pytest.mark.parametrize("u_shape, v_shape", [
+    ((3, 20), (3, 20, 11)),   # nx wrong
+    ((3, 41), (3, 41, 10)),   # ny wrong
+    ((3, 41), (2, 41, 11)),   # batch axes disagree
+    ((3, 41), (41, 11)),      # v unbatched
+])
+def test_batched_step_shape_mismatch(u_shape, v_shape):
+    g = small_grid()
+    with pytest.raises(ValueError):
+        rf.step(rf.FieldState(t=0.0, u=np.zeros(u_shape), v=np.zeros(v_shape)), P1, g)
+
+
 # --- CSV output -----------------------------------------------------------------------
 
 
