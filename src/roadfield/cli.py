@@ -349,9 +349,10 @@ def validate_suites(
             hi = replace(hi, u=hi.u[:k], v=hi.v[:k])
     results.append(SuiteResult("ordering", ordered, worst, 0.0))
 
-    # stability: run a bump with the requested safety factor; blow-up fails the suite
+    # stability: run a bump at the requested safety factor times the smallest
+    # per-loss bound (safety may exceed 1 here); blow-up fails the suite
     base = simulate.build_grid(-10.0, 10.0, 5.0, 0.25, 0.25, params, 0.4)
-    cfl_grid = replace(base, dt=safety * simulate.cfl_dt(base, params, 1.0))
+    cfl_grid = replace(base, dt=safety * min(simulate._cfl_terms(base, params).values()))
     state = simulate.init_state(cfl_grid, simulate.InitialDatum.compact_bump())
     cap = simulate._blowup_cap(state.u, state.v, params)
     blew_up_at = 0

@@ -15,24 +15,34 @@ for D <= 2d they already touch at c_KPP and the road plays no role.
 
 All speeds here are computed on nu-normalised parameters (apply
 :func:`roadfield.params.normalize_nu` first); operations raise ValueError
-otherwise.  Every solver below reduces the geometry to a scalar gap
-function of c (road branch minus field branch, maximised over admissible
-b) and bisects its sign change.  The half-plane, strip and large-D solvers
-differ only in their gap(b) and its b interval: one maximiser,
-``_max_gap`` (a dense grid scan, then golden-section refinement), serves
-all three, and one bisection, ``_bisect_gap``, brackets every root here,
-including the crossings in :func:`intersections` and the window speeds in
-:func:`gamma_plus_threshold`.  The road discriminant is written once
+otherwise.  Each speed is where a scalar gap function of c (road branch
+minus field branch, maximised over admissible b) changes sign.  The
+half-plane, strip and large-D solvers differ only in their gap(b) and its
+b interval: one maximiser, ``_max_gap`` (a dense grid scan, then
+golden-section refinement), serves all three, and one bisection,
+``_bisect_gap``, brackets every root here, including the crossings in
+:func:`intersections` and the window speeds in :func:`gamma_plus_threshold`.
+
+The speed itself comes from Newton's method on the tangency system in
+(a, b, c): the road equation, the field equation and the vanishing of
+their Jacobian determinant in (a, b) (``_Tangency``; the strip swaps in its
+road equation, the large-D limit its parabola for the field equation).
+The seed bisects a coarse ``SEED_POINTS`` scan of the gap to 1 % of the
+bracket.  The Newton speed is certified: the gap must be <= 0 at the lower
+end and > 0 at the upper end of a bracket of width <= tol around it, which
+is the bracket reported.  When Newton does not converge or the
+certificate fails (e.g. a tol below the float spacing) the solver
+bisects the gap's sign change to width tol instead and reports the
+midpoint.  The road discriminant is written once
 (``_road_disc``; the large-D limit is its D = 1 case) and every branch of
 the form (c +/- sqrt(disc))/scale is ``_root``; the half-plane and strip
-solvers share one tail, ``_tangent_speed``, that bisects and records the
-tangency point.
+solvers share one tail, ``_tangent_speed``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -67,7 +77,11 @@ __all__ = [
 GRID_POINTS = 2048          # dense scan of the admissible b interval
 CROSSING_SCAN_POINTS = 4096  # scan of each branch pair in intersections
 BETA_REFINE_TOL = 1e-12     # golden-section width in b
-DEFAULT_TOL = 1e-8          # bisection width in c
+DEFAULT_TOL = 1e-8          # width in c of a certified bracket
+SEED_POINTS = 64            # coarse scan behind the Newton seed, no refinement
+SEED_SHARE = 0.01           # the seed bisection stops at this share of its bracket
+NEWTON_STEPS = 30           # Newton gives up after this many steps
+NEWTON_RTOL = 1e-14         # converged once a step moves c by at most this share
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -298,15 +312,22 @@ def _gap_values(c: float, beta, params: ModelParams) -> np.ndarray:
     return _root(c, disc, 2.0 * params.D) - _lower_field_root(c, beta, params)
 
 
-def _max_gap(gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
+def _max_gap(gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+             coarse: bool = False) -> tuple[float, float]:
     """(max, argmax) of a vectorised gap(b) over [lo, hi].
 
     A dense grid scan finds the best node; golden-section refinement between
     its neighbours replaces it only when it does at least as well.  An empty
-    interval (hi <= lo) gives the value at lo.
+    interval (hi <= lo) gives the value at lo.  ``coarse`` returns the best
+    of ``SEED_POINTS`` nodes instead: a lower bound on the max, for seeds.
     """
     if hi <= lo:
         return float(gap(lo)), lo
+    if coarse:
+        grid = np.linspace(lo, hi, SEED_POINTS)
+        vals = gap(grid)
+        k = int(np.argmax(vals))
+        return float(vals[k]), float(grid[k])
     grid = np.linspace(lo, hi, GRID_POINTS)
     vals = gap(grid)
     k = int(np.argmax(vals))
@@ -318,9 +339,9 @@ def _max_gap(gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> t
     return float(vals[k]), float(grid[k])
 
 
-def _gap_and_argmax(c: float, params: ModelParams) -> tuple[float, float]:
+def _gap_and_argmax(c: float, params: ModelParams, coarse: bool = False) -> tuple[float, float]:
     lo = max(beta_D(c, params), -beta_kpp(c, params))
-    return _max_gap(lambda b: _gap_values(c, b, params), lo, beta_kpp(c, params))
+    return _max_gap(lambda b: _gap_values(c, b, params), lo, beta_kpp(c, params), coarse)
 
 
 def curve_gap(c: float, params: ModelParams) -> float:
@@ -360,19 +381,142 @@ def _bisect_gap(gap: Callable[[float], float], lo: float, hi: float, tol: float)
     return lo, hi
 
 
-def _tangent_speed(gap: Callable[[float], float], gap_and_argmax: Callable[[float], tuple[float, float]],
-                   lo: float, hi: float, tol: float, params: ModelParams, branch: Branch) -> SpeedResult:
-    """Bisect gap's sign change on [lo, hi] to width tol; the midpoint is the speed.
+@dataclass(frozen=True)
+class _Tangency:
+    """The tangency system in (a, b, c) behind one speed.
 
-    The tangency point is the maximising b of ``gap_and_argmax`` at that
-    speed, on the lower field branch.
+    road:     road a^2 - c a - h(b) = 0
+    field:    field a^2 - c a + f'(0) + d b^2 = 0
+    tangency: det d(road, field)/d(a, b) = 0
+
+    ``road`` is D (1 in the large-D limit), ``field`` is d (0 for the limit
+    parabola), and ``exchange(b)`` gives h, h' and h'' of the exchange term
+    (mu d b/(1 + d b) on the half-plane).  Newton keeps b above ``b_min``.
+    An ``even`` system (the strip) has the root at -b wherever it has one
+    at b, and reports b >= 0.
     """
-    lo, hi = _bisect_gap(gap, lo, hi, tol)
-    c = 0.5 * (lo + hi)
-    _, b_star = gap_and_argmax(c)
+
+    road: float
+    field: float
+    exchange: Callable[[float], tuple[float, float, float]]
+    b_min: float
+    even: bool = False
+
+
+def _half_plane(params: ModelParams) -> _Tangency:
+    """The half-plane's tangency system, h(b) = mu d b/(1 + d b), b > -1/d."""
+    mu, d = params.mu, params.d
+
+    def h(b: float) -> tuple[float, float, float]:
+        w = 1.0 / (1.0 + d * b)
+        return mu * d * b * w, mu * d * w * w, -2.0 * mu * d * d * w * w * w
+
+    return _Tangency(params.D, d, h, -1.0 / d)
+
+
+def _lower_root(system: _Tangency, c: float, b: float, params: ModelParams) -> float:
+    """Lower root of the system's field equation, 2q/(c + sqrt(c^2 - 4 field q)), q = f'(0) + d b^2."""
+    q = params.f_prime_0 + params.d * b * b
+    return 2.0 * q / (c + math.sqrt(max(c * c - 4.0 * system.field * q, 0.0)))
+
+
+def _newton_tangency(system: _Tangency, a: float, b: float, c: float,
+                     params: ModelParams) -> tuple[float, float, float] | None:
+    """Newton's method on the tangency system from (a, b, c).
+
+    Stops once a step moves c by at most NEWTON_RTOL of c (float resolution
+    one quadratic step later).  None after NEWTON_STEPS steps, on a singular
+    Jacobian, a non-finite iterate or b <= b_min, or when the root is not on
+    the upper road branch and the lower field branch.
+    """
+    D, k, d, fp0 = system.road, system.field, params.d, params.f_prime_0
+    for _ in range(NEWTON_STEPS):
+        if not b > system.b_min:
+            return None
+        h, h1, h2 = system.exchange(b)
+        ra, fa, fb = 2.0 * D * a - c, 2.0 * k * a - c, 2.0 * d * b
+        residual = (D * a * a - c * a - h, k * a * a - c * a + fp0 + d * b * b, ra * fb + h1 * fa)
+        jacobian = ((ra, -h1, -a),
+                    (fa, fb, -a),
+                    (4.0 * D * d * b + 2.0 * k * h1, 2.0 * d * ra + h2 * fa, -fb - h1))
+        try:
+            da, db, dc = np.linalg.solve(jacobian, residual)
+        except np.linalg.LinAlgError:
+            return None
+        a, b, c = float(a - da), float(b - db), float(c - dc)
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            return None
+        if abs(dc) <= NEWTON_RTOL * abs(c):
+            if not 2.0 * D * a >= c >= 2.0 * k * a:
+                return None
+            return a, abs(b) if system.even else b, c
+    return None
+
+
+def _newton_speed(gap: Callable[[float], float], gap_and_argmax: Callable[..., tuple[float, float]],
+                  system: _Tangency, lo: float, hi: float, tol: float, params: ModelParams,
+                  seeds: tuple[tuple[float, float, float], ...] = ()
+                  ) -> tuple[float, float, tuple[float, float]] | None:
+    """(c, b, bracket) by certified Newton inside [lo, hi]; None when the certificate fails.
+
+    The first seed (a, b, c) bisects the coarse gap to SEED_SHARE of
+    [lo, hi] and takes b from the coarse argmax and a from the lower field
+    root; ``seeds`` adds more.  Every root has gap = 0 at its (b, c), so the
+    smallest root's c is the best bound on the speed, and only it is
+    certified: a bracket of width <= tol around it, inside [lo, hi], with
+    gap <= 0 at its lower end and gap > 0 at its upper end.
+    """
+    s_lo, s_hi = _bisect_gap(lambda c: gap_and_argmax(c, coarse=True)[0], lo, hi,
+                             SEED_SHARE * (hi - lo))
+    c = 0.5 * (s_lo + s_hi)
+    b = gap_and_argmax(c, coarse=True)[1]
+    roots = [root for a, b, c in ((_lower_root(system, c, b, params), b, c), *seeds)
+             if (root := _newton_tangency(system, a, b, c, params)) is not None]
+    if not roots:
+        return None
+    _, b, c = min(roots, key=lambda root: root[2])
+    c_lo, c_hi = max(c - 0.5 * tol, lo), min(c + 0.5 * tol, hi)
+    while c_hi - c_lo > tol:
+        # c +/- tol/2 rounds outward by at most an ulp or two
+        c_hi = math.nextafter(c_hi, -math.inf)
+    if not (c_lo <= c <= c_hi and gap(c_lo) <= 0.0 < gap(c_hi)):
+        return None
+    return c, b, (c_lo, c_hi)
+
+
+def _tangent_speed(gap: Callable[[float], float], gap_and_argmax: Callable[..., tuple[float, float]],
+                   system: _Tangency, lo: float, hi: float | None, tol: float, params: ModelParams,
+                   branch: Branch, seeds: tuple[tuple[float, float, float], ...] = (),
+                   bisect_hi: Callable[[], float] | None = None) -> SpeedResult:
+    """The speed where gap changes sign above lo, with its certified bracket and tangency point.
+
+    Certified Newton on ``system`` inside [lo, hi] first (:func:`_newton_speed`;
+    skipped when hi is None).  When that fails, gap's sign change is
+    bisected on [lo, hi] (hi from ``bisect_hi()`` when given) to width
+    tol; the speed is the midpoint and b the maximising b of
+    ``gap_and_argmax`` there.  The tangency point is (b, lower field root).
+    """
+    newton = None if hi is None else _newton_speed(gap, gap_and_argmax, system, lo, hi, tol,
+                                                   params, seeds)
+    if newton is not None:
+        c, b_star, (lo, hi) = newton
+    else:
+        lo, hi = _bisect_gap(gap, lo, hi if bisect_hi is None else bisect_hi(), tol)
+        c = 0.5 * (lo + hi)
+        _, b_star = gap_and_argmax(c)
     tangency = CurvePoint(beta=b_star, alpha=alpha_field(c, b_star, params, "-"), branch=branch)
     return SpeedResult(c_star=c, regime=Regime.SUPER_THRESHOLD, bracket=(lo, hi), tol=tol,
                        tangency=tangency)
+
+
+def _doubled(gap: Callable[[float], float], lo: float) -> float | None:
+    """The first lo + 2^k (k = 0, 1, ...) with a positive gap; None past 2^60 lo."""
+    hi = lo + 1.0
+    while gap(hi) <= 0.0:
+        hi = lo + 2.0 * (hi - lo)
+        if hi > 2.0**60 * lo:
+            return None
+    return hi
 
 
 # --- critical speed -------------------------------------------------------------
@@ -383,9 +527,13 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
 
     For D <= 2d (including the degenerate D=0 road) the road cannot outrun
     the field and c* = c_KPP exactly.  For D > 2d the result is the unique
-    root of :func:`curve_gap`, bisected from [c_KPP, c_hi] where c_hi is
-    found by geometric doubling; the returned tangency point records the
-    maximising b on the lower field branch.
+    root of :func:`curve_gap`: the Newton speed of the tangency system,
+    seeded inside [c_KPP, c_hi] (c_hi doubled until the coarse gap is
+    positive), with a bracket of width <= tol on which :func:`curve_gap`
+    changes sign.  When that certificate fails the root is bisected from
+    [c_KPP, c_hi] (c_hi doubled on :func:`curve_gap`) and the speed is the
+    bracket midpoint.  The returned tangency point records b and the lower
+    field branch there.
     """
     _require_normalized(params)
     if tol <= 0:
@@ -393,15 +541,25 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
     ck = c_kpp(params)
     if params.D <= 2.0 * params.d:
         return SpeedResult(c_star=ck, regime=Regime.SUB_THRESHOLD, bracket=(ck, ck), tol=tol)
-    lo, hi = ck, ck + 1.0
-    while curve_gap(hi, params) <= 0.0:
-        hi = ck + 2.0 * (hi - ck)
-        if hi > 2.0**60 * ck:
+
+    def gap(c: float) -> float:
+        return curve_gap(c, params)
+
+    def gap_and_argmax(c: float, coarse: bool = False) -> tuple[float, float]:
+        return _gap_and_argmax(c, params, coarse)
+
+    def bisect_hi() -> float:
+        hi = _doubled(gap, ck)
+        if hi is None:
             raise BracketError(
-                f"no curve crossing found up to c={hi}; parameters are inconsistent"
+                f"no curve crossing found up to c={2.0**60 * ck}; parameters are inconsistent"
             )
-    return _tangent_speed(lambda c: curve_gap(c, params), lambda c: _gap_and_argmax(c, params),
-                          lo, hi, tol, params, Branch.FIELD_MINUS)
+        return hi
+
+    # a positive coarse max is a positive gap, so the coarse doubling is an upper end too
+    return _tangent_speed(gap, gap_and_argmax, _half_plane(params), ck,
+                          _doubled(lambda c: gap_and_argmax(c, coarse=True)[0], ck), tol, params,
+                          Branch.FIELD_MINUS, bisect_hi=bisect_hi)
 
 
 # --- crossings at fixed speed ---------------------------------------------------
@@ -556,7 +714,8 @@ def strip_alpha_road(c: float, beta: float, L: float, params: ModelParams) -> fl
     return float(_root(c, disc, 2.0 * params.D))
 
 
-def _strip_gap_and_argmax(c: float, L: float, params: ModelParams) -> tuple[float, float]:
+def _strip_gap_and_argmax(c: float, L: float, params: ModelParams,
+                          coarse: bool = False) -> tuple[float, float]:
     """max over b in (0, beta_kpp(c)] of (strip road branch - lower field branch).
 
     The b=0 grid point uses the branch's finite one-sided limit, which is
@@ -567,20 +726,56 @@ def _strip_gap_and_argmax(c: float, L: float, params: ModelParams) -> tuple[floa
         a_road = _root(c, _strip_disc(c, b, L, params), 2.0 * params.D)
         return a_road - _lower_field_root(c, b, params)
 
-    return _max_gap(gap, 0.0, beta_kpp(c, params))
+    return _max_gap(gap, 0.0, beta_kpp(c, params), coarse)
+
+
+def _strip(params: ModelParams, L: float) -> _Tangency:
+    """The strip's tangency system, with the wall's exchange term h(b) = mu d/(d + L g(b L)).
+
+    g(x) = tanh(x)/x is even, so the strip gap is even in b and its max can
+    sit at b = 0, where the tangency condition holds identically; Newton
+    may end there, or cross it.  Near x = 0 g is its Taylor series.
+    """
+    mu, d = params.mu, params.d
+
+    def h(b: float) -> tuple[float, float, float]:
+        x = b * L
+        ax = abs(x)
+        if ax < 1e-2:
+            # tanh(x)/x = 1 - x^2/3 + 2x^4/15 - 17x^6/315 + O(x^8)
+            x2 = x * x
+            g = 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0 - 17.0 * x2 * x2 * x2 / 315.0
+            g1 = x * (-2.0 / 3.0 + 8.0 * x2 / 15.0 - 34.0 * x2 * x2 / 105.0)
+            g2 = -2.0 / 3.0 + 8.0 * x2 / 5.0 - 34.0 * x2 * x2 / 21.0
+        else:
+            e = math.exp(-2.0 * ax)
+            t = -math.expm1(-2.0 * ax) / (1.0 + e)   # tanh(|x|)
+            sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
+            g = t / ax
+            g1 = math.copysign(1.0, x) * (sech2 * ax - t) / (ax * ax)
+            g2 = -2.0 * t * sech2 / ax - 2.0 * (sech2 * ax - t) / (ax * ax * ax)
+        p, p1, p2 = d + L * g, L * L * g1, L * L * L * g2
+        return mu * d / p, -mu * d * p1 / (p * p), mu * d * (2.0 * p1 * p1 - p * p2) / (p * p * p)
+
+    return _Tangency(params.D, d, h, -math.inf, even=True)
 
 
 def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL) -> SpeedResult:
     """Critical speed of the strip-truncated system; below c* for large L.
 
-    Bisects the strip gap function on [c_KPP, c_hi], c_hi the certified
-    upper end of c*'s bracket, where the gap is always positive (the strip
-    branch sits above the half-plane branch).  When L is too small the gap
-    is already nonnegative at c_KPP and no threshold above c_KPP exists -
-    that raises :class:`NoTangencyError`.  The threshold lies in (c_KPP, c*)
-    only up to tol: both speeds are bracket midpoints, and once c* - c_L
-    (about e^{-2 beta L}) is below tol the returned c_L can exceed the
-    returned c* by less than tol (D = 28, mu = 2, f'(0) = 5, L = 24).
+    The sign change of the strip gap function on [c_KPP, c_hi], c_hi the
+    certified upper end of c*'s bracket, where the gap is always positive
+    (the strip branch sits above the half-plane branch).  When L is too
+    small the gap is already nonnegative at c_KPP and no threshold above
+    c_KPP exists - that raises :class:`NoTangencyError`.  Solved like
+    :func:`critical_speed`: certified Newton on the strip's tangency system,
+    seeded from the coarse scan and from c*'s tangency point, else the
+    bisection midpoint.  The tangency can sit at b = 0 (low strips), where
+    the strip gap, even in b, peaks.  The bracket stays inside
+    (c_KPP, c_hi], but the threshold lies in (c_KPP, c*) only up to tol:
+    once c* - c_L (about e^{-2 beta L}) is below tol, the returned c_L can
+    exceed the returned c* by less than tol (D = 28, mu = 2, f'(0) = 5,
+    L = 24).
     """
     _require_normalized(params)
     if tol <= 0:
@@ -593,14 +788,14 @@ def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL
 
 
 def _strip_speed_below(full: SpeedResult, params: ModelParams, L: float, tol: float) -> SpeedResult:
-    """Strip threshold bisected below an already solved half-plane ``full = c*``.
+    """Strip threshold below an already solved half-plane ``full = c*``.
 
     Callers that need both speeds solve c* once and pass it here.
     """
     ck = c_kpp(params)
     # the certified upper bracket end of c* has a positive half-plane gap,
     # and the strip gap dominates it, so it is a safe upper bracket even when
-    # the strip threshold is within bisection error of c*
+    # the strip threshold is within tol of c*
     c_hi = full.bracket[1]
     g_lo, _ = _strip_gap_and_argmax(ck, L, params)
     if g_lo >= 0.0:
@@ -613,14 +808,15 @@ def _strip_speed_below(full: SpeedResult, params: ModelParams, L: float, tol: fl
             f"no sign change of the strip gap on (c_KPP, c*) at L={L}"
         )
     return _tangent_speed(lambda c: _strip_gap_and_argmax(c, L, params)[0],
-                          lambda c: _strip_gap_and_argmax(c, L, params),
-                          ck, c_hi, tol, params, Branch.ROAD_STRIP_PLUS)
+                          lambda c, coarse=False: _strip_gap_and_argmax(c, L, params, coarse),
+                          _strip(params, L), ck, c_hi, tol, params, Branch.ROAD_STRIP_PLUS,
+                          seeds=((full.tangency.alpha, full.tangency.beta, full.c_star),))
 
 
 # --- large-D limit ----------------------------------------------------------------
 
 
-def _limit_gap_and_argmax(c: float, params: ModelParams) -> tuple[float, float]:
+def _limit_gap_and_argmax(c: float, params: ModelParams, coarse: bool = False) -> tuple[float, float]:
     """max of (rescaled road branch - field parabola); the road is its D = 1 form."""
     d, mu, fp0 = params.d, params.mu, params.f_prime_0
     lo = -c * c / (d * (c * c + 4.0 * mu))
@@ -632,7 +828,7 @@ def _limit_gap_and_argmax(c: float, params: ModelParams) -> tuple[float, float]:
         b = np.asarray(b, dtype=float)
         return _root(c, _road_disc(c, b, mu, d, 1.0), 2.0) - (fp0 + d * b * b) / c
 
-    return _max_gap(gap, lo, hi)
+    return _max_gap(gap, lo, hi, coarse)
 
 
 def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
@@ -640,26 +836,44 @@ def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
 
     After rescaling c and the x-rate by sqrt(D), the field circle flattens
     into the parabola a = (f'(0) + d b^2)/c and the road curve becomes its
-    D=1 form; the returned speed is the unique tangency of that pair,
-    bisected like :func:`critical_speed`.  D itself does not enter.
+    D=1 form; the returned speed is the unique tangency of that pair.  It
+    is solved like :func:`critical_speed`: the Newton speed of the system
+    with the parabola as its field equation, seeded inside
+    [sqrt(low)/2, 2 sqrt(f'(0))] (see :func:`limit_bounds`) and certified
+    by a sign change of the limiting gap across a bracket of width <= tol
+    around it; when that fails, the gap's sign change is bracketed and
+    bisected to width tol and the midpoint returned.  D itself does not
+    enter.
     """
     _require_normalized(params)
     if tol <= 0:
         raise ValueError("tol must be positive")
+
+    def gap(c: float) -> float:
+        return _limit_gap_and_argmax(c, params)[0]
+
+    # c^2 lies in the proven window, so [sqrt(low)/2, 2 sqrt(f'(0))] holds the speed
     lo_bound, _ = limit_bounds(params)
+    # the half-plane system with the road at D = 1 and the field's a^2 term dropped
+    system = replace(_half_plane(params), road=1.0, field=0.0)
+    newton = _newton_speed(gap, lambda c, coarse=False: _limit_gap_and_argmax(c, params, coarse),
+                           system, 0.5 * math.sqrt(lo_bound), 2.0 * math.sqrt(params.f_prime_0),
+                           tol, params)
+    if newton is not None:
+        return newton[0]
     c_lo = 0.5 * math.sqrt(lo_bound)
     for _ in range(200):
-        if _limit_gap_and_argmax(c_lo, params)[0] < 0.0:
+        if gap(c_lo) < 0.0:
             break
         c_lo *= 0.5
     else:
         raise BracketError("could not find a speed below the limiting tangency")
     c_hi = 2.0 * math.sqrt(params.f_prime_0)
-    while _limit_gap_and_argmax(c_hi, params)[0] <= 0.0:
+    while gap(c_hi) <= 0.0:
         c_hi *= 2.0
         if c_hi > 2.0**60:
             raise BracketError("could not find a speed above the limiting tangency")
-    c_lo, c_hi = _bisect_gap(lambda c: _limit_gap_and_argmax(c, params)[0], c_lo, c_hi, tol)
+    c_lo, c_hi = _bisect_gap(gap, c_lo, c_hi, tol)
     return 0.5 * (c_lo + c_hi)
 
 

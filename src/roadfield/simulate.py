@@ -12,16 +12,17 @@ forward Euler.  :func:`cfl_dt` bounds dt by one term per loss from a
 stencil's centre weight: road diffusion dx^2/(2D), field diffusion
 1/(2d(1/dx^2+1/dy^2)), the road row's exchange loss dy/(2nu) and the
 reaction 1/(mu+nu+f'(0)), so each loss on its own is at most ``safety``
-(0.4 by default) of the unit weight.  The map is monotone (componentwise-
-ordered states stay ordered, nonnegative data stay nonnegative) while every
-centre weight stays nonnegative, i.e. while the losses one node takes at
-once sum to at most 1.  The per-term bound does not ensure that: the road
-row's field node takes three losses at once (field diffusion, the exchange
-2*dt*nu/dy and the reaction), up to 1.2 at safety 0.4.  With
-ModelParams(D=1, d=1, mu=0.1, nu=4, f_prime_0=11.9) on
-build_grid(-2, 2, 2, 0.5, 0.5, params, 0.4) that sum is 1.0975 at v = 1,
-and a step lifts a road-row node of a state just under the equilibrium
-above it.  The pair (nu/mu, 1) is an exact fixed point in every case.
+(0.4 by default) of the unit weight.  Two caps not scaled by safety also
+keep the losses one node takes at once summing to at most 1: field
+diffusion, the exchange 2*dt*nu/dy and the reaction on the road row's
+field node, road diffusion and the reaction on a road node.  Every centre
+weight is then nonnegative (for a reaction whose slope stays above
+-(mu+nu+f'(0)), as the logistic's does on [0, 1]) and the map is monotone
+for every safety in (0, 1]: componentwise-ordered states stay ordered and
+nonnegative data stay nonnegative.  At the default safety the caps bind only when three
+terms nearly tie (ModelParams(D=1, d=1, mu=0.1, nu=4, f_prime_0=11.9) on
+build_grid(-2, 2, 2, 0.5, 0.5, params, 0.4): dt = 1/48, not 0.025).  The
+pair (nu/mu, 1) is an exact fixed point in every case.
 With the reaction switched off the ghost discretisation balances road and
 field exchange exactly, so trapezoidal total mass is conserved to rounding.
 
@@ -29,7 +30,9 @@ Multirate road.  For D > 2d the road term dx^2/(2D) binds and falls like
 1/D, while the 2D field update is the expensive one.  :func:`run` therefore
 advances the road k = :func:`road_substeps` times by dt against the frozen
 trace v(x, 0), then the field once by k*dt, with the exchange ghost fed the
-mean of the road states the substeps started from.  The road gains exactly
+mean of the road states the substeps started from; k is capped so that
+the field step of k*dt keeps the road row's summed losses at most 1.  The
+road gains exactly
 what the field loses, each substep keeps the nonnegative weights of a
 single step, and k = 1 (whenever the road term does not bind) is the plain
 single-rate update bit for bit.  Record times, snapshots and blow-up steps
@@ -149,18 +152,34 @@ def _cfl_terms(grid: Grid, params: ModelParams) -> dict[str, float]:
     return terms
 
 
-def cfl_dt(grid: Grid, params: ModelParams, safety: float) -> float:
-    """Forward-Euler step bounding each centre-weight loss by ``safety``.
+# the losses one node takes at once: the road row's field node, and a road node
+_FIELD_NODE = ("field", "exchange", "reaction")
+_ROAD_NODE = ("road", "reaction")
 
-    safety * min( dx^2/(2D),  1/(2d(1/dx^2+1/dy^2)),  dy/(2nu),  1/(mu+nu+f'(0)) );
-    the road-diffusion term is dropped when D=0.  Each loss is capped on its
-    own, so safety <= 1 alone does not make the step monotone: the road
-    row's field node loses field diffusion, exchange and reaction at once,
-    and their sum can exceed 1 (see the module docstring).
+
+def _summed_bound(terms: dict[str, float], names: tuple[str, ...]) -> float:
+    """Largest dt at which the losses ``names`` sum to at most 1: 1/sum(1/term)."""
+    return 1.0 / sum(1.0 / terms[name] for name in names if name in terms)
+
+
+def cfl_dt(grid: Grid, params: ModelParams, safety: float) -> float:
+    """Forward-Euler step that keeps every centre weight nonnegative.
+
+    safety * min( dx^2/(2D),  1/(2d(1/dx^2+1/dy^2)),  dy/(2nu),  1/(mu+nu+f'(0)) )
+    caps each loss by ``safety`` (the road-diffusion term is dropped when
+    D=0).  Two caps not scaled by safety then keep the losses a node takes
+    at once summing to at most 1: field diffusion, exchange and reaction on
+    the road row's field node, road diffusion and reaction on a road node.
+    The step is therefore monotone for every safety in (0, 1] (for a
+    reaction whose slope stays above -(mu+nu+f'(0)), as the logistic's
+    does on [0, 1]); at the default 0.4 the sums stay under 1 unless three
+    terms nearly tie.
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety must be in (0, 1], got {safety}")
-    return safety * min(_cfl_terms(grid, params).values())
+    terms = _cfl_terms(grid, params)
+    return min(safety * min(terms.values()), _summed_bound(terms, _FIELD_NODE),
+               _summed_bound(terms, _ROAD_NODE))
 
 
 def road_substeps(grid: Grid, params: ModelParams) -> int:
@@ -169,14 +188,17 @@ def road_substeps(grid: Grid, params: ModelParams) -> int:
     floor(field-side bound / full bound), where the field-side bound leaves
     out the road-diffusion term: the field step k*dt then sits as far under
     its own bound as dt sits under the full one.  It is 1 unless the
-    road-diffusion term binds.
+    road-diffusion term binds.  k is also capped so that k*dt keeps the
+    road row's field node's summed losses at most 1, as :func:`cfl_dt`
+    does for dt.
     """
     terms = _cfl_terms(grid, params)
     full = min(terms.values())
     field_side = min(b for name, b in terms.items() if name != "road")
     # the ratio of two rounded bounds can land just under an integer (D=1000,
     # d=1, dx=dy=0.1 gives 499.99999999999994): within 1e-9 it is that integer
-    return max(1, math.floor(field_side / full * (1.0 + 1e-9)))
+    k = math.floor(field_side / full * (1.0 + 1e-9))
+    return max(1, min(k, math.floor(_summed_bound(terms, _FIELD_NODE) / grid.dt)))
 
 
 def build_grid(
@@ -297,17 +319,22 @@ def init_state(grid: Grid, datum: InitialDatum) -> FieldState:
 
 
 def _blowup_cap(u0: np.ndarray, v0: np.ndarray, params: ModelParams) -> float | np.ndarray:
-    """10 x max(1, nu/mu sup u, sup v), one cap per state of a batch."""
-    ratio = params.nu / params.mu
+    """The cap on v, 10 x max(1, sup v, mu/nu sup u), one per state of a batch.
+
+    The cap on u is nu/mu times it (see :func:`_within_cap`): the road
+    settles at nu/mu times the field level, so both caps follow the
+    invariant region [0, nu/mu M] x [0, M] of the exchange.
+    """
+    ratio = params.mu / params.nu
     if u0.ndim == 1:
         # Python floats: numpy's scalar maximum is a measurable share of a one-state step
-        return 10.0 * max(1.0, ratio * float(u0.max()), float(v0.max()))
-    return 10.0 * np.maximum(1.0, np.maximum(ratio * u0.max(axis=-1), v0.max(axis=(-2, -1))))
+        return 10.0 * max(1.0, float(v0.max()), ratio * float(u0.max()))
+    return 10.0 * np.maximum(1.0, np.maximum(v0.max(axis=(-2, -1)), ratio * u0.max(axis=-1)))
 
 
-def _within_cap(u: np.ndarray, v: np.ndarray, cap):
-    """Per state of a batch: sup u <= cap and sup v <= cap; False where either holds a NaN."""
-    return (u.max(axis=-1) <= cap) & (v.max(axis=(-2, -1)) <= cap)
+def _within_cap(u: np.ndarray, v: np.ndarray, cap, params: ModelParams):
+    """Per state of a batch: sup v <= cap and sup u <= nu/mu cap; False where either holds a NaN."""
+    return (u.max(axis=-1) <= params.nu / params.mu * cap) & (v.max(axis=(-2, -1)) <= cap)
 
 
 def _advance(
@@ -394,24 +421,25 @@ def step(
     exactly as it would be alone (see :func:`_advance`).  ``reaction=None``
     integrates the pure-exchange system (f == 0).  The caller is responsible
     for dt satisfying the CFL bound.  Raises BlowUpError when a member
-    exceeds its cap or turns non-finite; the cap is ``max_value`` (a number,
-    or an array of the batch shape) or by default 10x the member's own
-    equilibrium-adjusted supremum, so a batch raises exactly when one of its
-    members would raise alone.
+    exceeds its cap or turns non-finite.  The cap is on v, and nu/mu times
+    it on u; it is ``max_value`` (a number, or an array of the batch shape)
+    or by default 10 x max(1, sup v, mu/nu sup u) of the member itself, so
+    a batch raises exactly when one of its members would raise alone.
     """
     if state.u.shape[-1:] != (grid.nx,) or state.v.shape != state.u.shape + (grid.ny,):
         raise ValueError("state shape does not match grid")
     f = params.reaction if reaction is _USE_PARAMS else reaction
     cap = _blowup_cap(state.u, state.v, params) if max_value is None else max_value
     u, v = _advance(state.u, state.v, params, grid.dt, grid.dx, grid.dy, f)
-    ok = _within_cap(u, v, cap)
+    ok = _within_cap(u, v, cap, params)
     # one state gives a numpy bool, whose .all() would slow the step measurably
     if not (ok.all() if ok.ndim else ok):
         # the first failing member, () for one state
         at = np.unravel_index(np.argmin(ok), ok.shape)
         raise BlowUpError(
             f"state{list(map(int, at)) if at else ''} exceeded "
-            f"{np.broadcast_to(cap, ok.shape)[at]} (or went non-finite) at t={state.t + grid.dt}: "
+            f"{np.broadcast_to(cap, ok.shape)[at]} on v or nu/mu times that on u "
+            f"(or went non-finite) at t={state.t + grid.dt}: "
             "the scheme is unstable for this dt",
             t=state.t + grid.dt,
         )
@@ -492,10 +520,10 @@ def run(
         m = min(substeps, n_steps - k, snapshot_every - k % snapshot_every)
         u, v = _advance(u, v, params, dt, dx, dy, f, m)
         k += m
-        if not _within_cap(u, v, cap):
-            top = np.maximum(u.max(), v.max())
+        if not _within_cap(u, v, cap, params):
             raise BlowUpError(
-                f"blow-up at step {k} (t={k * grid.dt}): max value {top} exceeds cap {cap}",
+                f"blow-up at step {k} (t={k * grid.dt}): max u {u.max()}, max v {v.max()} "
+                f"exceed the cap {params.nu / params.mu * cap} on u or {cap} on v",
                 step=k,
                 t=k * grid.dt,
             )

@@ -106,29 +106,29 @@ PINNED_CSV = {
     ("speed", "--set", "D=4"): (
         "speed.csv",
         "D,d,mu,fp0,c_kpp,c_star,regime\n"
-        "4,1,1,1,2,2.2692892216145992,SuperThreshold\n",
+        "4,1,1,1,2,2.269289220080505,SuperThreshold\n",
     ),
     ("sweep", "--D-list", "1,2,4,16,64,256,1024,1e5"): (
         "sweep.csv",
         "D,d,mu,fp0,c_kpp,c_star,regime,c_star_over_sqrtD\n"
         "1,1,1,1,2,2,SubThreshold,2\n"
         "2,1,1,1,2,2,SubThreshold,1.4142135623730949\n"
-        "4,1,1,1,2,2.2692892216145992,SuperThreshold,1.1346446108072996\n"
-        "16,1,1,1,2,3.9492677859961987,SuperThreshold,0.98731694649904966\n"
-        "64,1,1,1,2,7.6454471684992313,SuperThreshold,0.95568089606240392\n"
-        "256,1,1,1,2,15.168583113700151,SuperThreshold,0.94803644460625947\n"
-        "1024,1,1,1,2,30.276515644043684,SuperThreshold,0.94614111387636513\n"
-        "100000,1,1,1,2,298.99878412112594,SuperThreshold,0.94551717544374436\n",
+        "4,1,1,1,2,2.269289220080505,SuperThreshold,1.1346446100402525\n"
+        "16,1,1,1,2,3.9492677880527989,SuperThreshold,0.98731694701319972\n"
+        "64,1,1,1,2,7.6454471721105932,SuperThreshold,0.95568089651382415\n"
+        "256,1,1,1,2,15.168583113719118,SuperThreshold,0.94803644460744485\n"
+        "1024,1,1,1,2,30.276515645324892,SuperThreshold,0.94614111391640288\n"
+        "100000,1,1,1,2,298.9987841177412,SuperThreshold,0.94551717543304092\n",
     ),
     ("strip", "--set", "D=4", "--L", "20"): (
         "strip.csv",
         "D,d,mu,fp0,L,c_kpp,c_star_L,c_star\n"
-        "4,1,1,1,20,2,2.2689838692220943,2.2692892216145992\n",
+        "4,1,1,1,20,2,2.2689838660931447,2.269289220080505\n",
     ),
     ("limit",): (
         "limit.csv",
         "d,mu,fp0,c_limit,c_limit_sq,low_bound,high_bound\n"
-        "1,1,1,0.94551072246956602,0.89399052630492071,0.23606797749978969,1\n",
+        "1,1,1,0.94551072374122702,0.89399052870965889,0.23606797749978969,1\n",
     ),
 }
 
@@ -162,7 +162,7 @@ PINNED_SHA256 = {
          "speed.csv": "e4809811c2de0b9cb5ca69894a9ec0b339114db1d91c407d2d4dfc1011d9ca8c"},
     ),
     ("simulate", "--preset", "enhanced", *_SHRUNK, "--set", "snapshot_every=40"): (
-        0, "b097880328938efeeef971c0e4d21fe2ca604567ee7c365dd5e8ec4ebcd3c2d0",
+        0, "87dfe81e51d1f7603c3e022412dc64b3191b2776cfec733f0db3c83388cb322c",
         {"fronts.csv": "74399f5c42ee8bdeaa15220f83abceb00dc99133255c2415209244d1556969b1",
          "mass.csv": "07ddb18e30d108ea3d980bdf51d8b8a1c912492414bf2f5f2e2707df144466ab",
          "speed.csv": "2bed3ad88747c8006ebdcd4e94842251232cc203cfe56569a4e46823694eb0ad"},
@@ -325,6 +325,13 @@ def test_validate_ordering_holds_under_strong_exchange(tmp_path, capsys, nu):
     rows = dict(line.split(",", 1) for line in
                 (tmp_path / "validate.csv").read_text().splitlines()[1:])
     assert rows["ordering"].startswith("true,")
+
+
+def test_validate_steady_state_run_survives_a_heavy_road():
+    # mu = 0.1, nu = 4: from a field bump of height 1 the road tends to
+    # nu/mu = 40, four times the cap of 10 that used to bound both channels
+    results = validate_suites(rf.ModelParams(D=1, d=1, mu=0.1, nu=4))
+    assert [r.suite for r in results][-1] == "steady_state"
 
 
 def test_validate_ordering_reports_what_one_pair_at_a_time_reports():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roadfield as rf
+from roadfield import dispersion
 from roadfield.errors import DomainError, NoTangencyError
 
 from oracles import (
@@ -600,3 +601,91 @@ def test_two_intersections_above_c_star_solve_the_system(d, mu, fp0, ratio, abov
         ansatz = rf.ExponentialAnsatz(alpha=pt.alpha, beta=pt.beta,
                                       gamma=rf.gamma_of_beta(pt.beta, p), c=c)
         assert max(abs(r) for r in ansatz.residuals(p)) <= 1e-7
+
+
+# --- certified Newton and its fallback -------------------------------------------------
+
+# the bisection results of the solvers before Newton (tol 1e-8), which the
+# fallback must still return bit for bit
+BISECTED_C_STAR_D4 = 2.2692892216145992
+BISECTED_STRIP_D4_L20 = 2.2689838692220943
+BISECTED_LIMIT = 0.94551072246956602
+
+
+def _solve_all():
+    return (rf.critical_speed(make(4.0)).c_star,
+            rf.strip_critical_speed(make(4.0), 20.0).c_star,
+            rf.limit_speed(make(1.0)))
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda a, b, c: None,                   # no convergence
+    lambda a, b, c: (a, b, math.nan),       # a non-finite speed
+    lambda a, b, c: (a, b, c * (1.0 + 1e-6)),
+    lambda a, b, c: (a, b, c - 2e-8),       # wrong by twice the tolerance
+], ids=["none", "nan", "above", "below"])
+def test_failed_certificate_falls_back_to_the_bisection(monkeypatch, spoil):
+    newton = dispersion._newton_tangency
+
+    def wrong(*args):
+        root = newton(*args)
+        return None if root is None else spoil(*root)
+
+    monkeypatch.setattr(dispersion, "_newton_tangency", wrong)
+    assert _solve_all() == (BISECTED_C_STAR_D4, BISECTED_STRIP_D4_L20, BISECTED_LIMIT)
+
+
+def test_newton_runs_no_fallback_on_random_parameters(monkeypatch):
+    # every bisection left is the seed's, which stops at SEED_SHARE of its bracket
+    bisect = dispersion._bisect_gap
+    fallbacks = []
+
+    def spy(gap, lo, hi, tol):
+        if tol != dispersion.SEED_SHARE * (hi - lo):
+            fallbacks.append((lo, hi, tol))
+        return bisect(gap, lo, hi, tol)
+
+    monkeypatch.setattr(dispersion, "_bisect_gap", spy)
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        d, mu, fp0 = np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3))
+        # D/d log-uniform from just above 2 to 1e8
+        p = make(2.0 * d * math.exp(rng.uniform(1e-9, math.log(5e7))), d=d, mu=mu, fp0=fp0)
+        full = rf.critical_speed(p)
+        try:
+            rf.strip_critical_speed(p, rng.uniform(0.5, 30.0))
+        except NoTangencyError:
+            pass
+        rf.limit_speed(p)
+        assert full.bracket[0] <= full.c_star <= full.bracket[1]
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("D", [4.0, 10.0, 1e6])
+def test_certified_bracket_holds_the_high_precision_speed(D, tol):
+    p = make(D)
+    res = rf.critical_speed(p, tol)
+    lo, hi = res.bracket
+    assert hi - lo <= tol and lo <= res.c_star <= hi
+    assert lo <= mp_critical_speed(p) <= hi
+    assert rf.curve_gap(lo, p) <= 0.0 < rf.curve_gap(hi, p)
+
+
+@pytest.mark.parametrize("L", [30.0, 60.0, 200.0])
+def test_tall_strip_bracket_stays_under_the_half_plane_bracket(L):
+    # at these heights c* - c_L falls below tol: the strip bracket must still
+    # lie in (c_KPP, full.bracket[1]]
+    p = make(4.0)
+    full = rf.critical_speed(p)
+    strip = rf.strip_critical_speed(p, L)
+    assert rf.c_kpp(p) < strip.bracket[0] <= strip.c_star <= strip.bracket[1] <= full.bracket[1]
+    assert strip.bracket[1] - strip.bracket[0] <= strip.tol
+
+
+def test_low_strip_tangency_sits_at_zero_decay():
+    # D = 4, L = 2: the strip gap peaks at b = 0, where the road root
+    # (c + sqrt(c^2 + 16/3))/8 meets the field root (c - sqrt(c^2 - 4))/2 at c = 13/6
+    strip = rf.strip_critical_speed(make(4.0), 2.0)
+    assert 0.0 <= strip.tangency.beta <= 1e-12
+    assert strip.bracket[0] <= 13.0 / 6.0 <= strip.bracket[1]

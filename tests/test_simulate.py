@@ -453,6 +453,48 @@ def test_cfl_dt_includes_the_exchange_term():
     assert simulate.road_substeps(g, params) == 1
 
 
+def test_one_step_keeps_a_lowered_equilibrium_under_it():
+    # each loss alone is 0.4 of the centre weight here, but the road row's
+    # field node takes field diffusion, exchange and reaction at once; the
+    # summed-loss cap lowers dt from 0.025 to 1/48
+    params = rf.ModelParams(D=1.0, d=1.0, mu=0.1, nu=4.0, f_prime_0=11.9)
+    grid = rf.build_grid(-2.0, 2.0, 2.0, 0.5, 0.5, params, 0.4)
+    assert grid.dt == pytest.approx(1.0 / 48.0, rel=1e-15)
+    u = np.full(grid.nx, params.nu / params.mu)
+    v = np.ones((grid.nx, grid.ny))
+    v[grid.nx // 2, 0] = 0.999
+    out = rf.step(rf.FieldState(t=0.0, u=u, v=v), params, grid)
+    assert out.v.max() <= 1.0 and out.u.max() <= params.nu / params.mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    D=st.floats(0.0, 50.0),
+    d=st.floats(0.1, 3.0),
+    mu=st.floats(0.1, 3.0),
+    nu=st.floats(0.1, 8.0),
+    fp0=st.floats(0.1, 12.0),
+    safety=st.floats(0.05, 1.0),
+    node=st.sampled_from(["road", "road_row", "field"]),
+    dip=st.floats(1e-3, 0.5),
+)
+def test_step_keeps_any_lowered_equilibrium_under_it(D, d, mu, nu, fp0, safety, node, dip):
+    # monotone at every safety in (0, 1]: lowering one node of the equilibrium
+    # (nu/mu, 1) lifts no node above it (to rounding)
+    params = rf.ModelParams(D=D, d=d, mu=mu, nu=nu, f_prime_0=fp0)
+    grid = rf.build_grid(-2.0, 2.0, 2.0, 0.5, 0.5, params, safety)
+    u = np.full(grid.nx, nu / mu)
+    v = np.ones((grid.nx, grid.ny))
+    i = grid.nx // 2
+    if node == "road":
+        u[i] *= 1.0 - dip
+    else:
+        v[i, 0 if node == "road_row" else 1] *= 1.0 - dip
+    out = rf.step(rf.FieldState(t=0.0, u=u, v=v), params, grid)
+    assert out.u.max() <= nu / mu * (1.0 + 1e-12)
+    assert out.v.max() <= 1.0 + 1e-12
+
+
 def test_multirate_fold_equals_full_domain_bit_for_bit(monkeypatch):
     grid = fast_road_grid()
     datum = rf.InitialDatum.compact_bump(amplitude_u=0.5)
@@ -695,6 +737,22 @@ def test_batch_member_above_another_members_cap_does_not_blow_up():
     state = _uniform_batch(grid, [0.5, 30.0])
     out = rf.step(state, P1, grid, reaction=None)
     assert np.array_equal(out.u, state.u) and np.array_equal(out.v, state.v)
+
+
+def test_blowup_cap_follows_the_road_equilibrium():
+    # nu/mu = 40: the road settles at 40 times the field level, so a
+    # field-only datum of height 1 caps v at 10 and u at 400
+    params = rf.ModelParams(D=1.0, d=1.0, mu=0.1, nu=4.0)
+    grid = rf.build_grid(-2.0, 2.0, 2.0, 0.5, 0.5, params, 0.4)
+    ones = np.ones((grid.nx, grid.ny))
+    cap = simulate._blowup_cap(np.zeros(grid.nx), ones, params)
+    assert cap == 10.0
+    rf.step(rf.FieldState(t=0.0, u=np.full(grid.nx, 40.0), v=ones), params, grid, max_value=cap)
+    with pytest.raises(BlowUpError):
+        rf.step(rf.FieldState(t=0.0, u=np.full(grid.nx, 1000.0), v=ones), params, grid,
+                max_value=cap)
+    # the default cap of the road-equilibrium state itself
+    assert simulate._blowup_cap(np.full(grid.nx, 40.0), ones, params) == 10.0
 
 
 @pytest.mark.parametrize("u_shape, v_shape", [
