@@ -18,6 +18,7 @@ significant digits so outputs diff bit-exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -287,6 +288,26 @@ class SuiteResult:
     note: str = ""
 
 
+def _steady_t_end(params: ModelParams) -> float:
+    """End time of the steady_state suite: ten e-folding times of its slowest mode, in [40, 1000].
+
+    Near the invaded state (nu/mu, 1) the road and field perturbations
+    (p, q e^{-k y}) e^{-lam t}, uniform in x, decay at the rate lam that
+    solves sqrt(d (f'(0) - lam)) (mu - lam) = nu lam on (0, min(mu, f'(0)));
+    the field's own rate f'(0) is the logistic's -f'(1).  The left side
+    falls and the right side rises in lam, so the root is unique.  The
+    default parameters give lam = 0.43, and the floor of 40 holds; a road
+    fed much faster than it leaks (nu/mu large) relaxes slowly.  The cap
+    keeps a road that barely leaks (mu -> 0) from running without end; the
+    suite then reports the distance it has left.
+    """
+    d, mu, nu, fp0 = params.d, params.mu, params.nu, params.f_prime_0
+    top = min(mu, fp0)
+    lo, hi = dispersion._bisect_gap(
+        lambda lam: math.sqrt(d * (fp0 - lam)) * (mu - lam) <= nu * lam, 0.0, top, 1e-12 * top)
+    return min(max(40.0, 10.0 / (0.5 * (lo + hi))), 1000.0)
+
+
 def validate_suites(
     params: ModelParams,
     *,
@@ -366,7 +387,7 @@ def validate_suites(
 
     steady_grid = simulate.build_grid(-30.0, 30.0, 15.0, 0.25, 0.25, params, 0.4)
     rec = simulate.run(params, steady_grid, simulate.InitialDatum.compact_bump(),
-                       t_end=40.0, snapshot_every=1000)
+                       t_end=_steady_t_end(params), snapshot_every=1000)
     eu, ev = analysis.steady_error(rec.final_state, params, steady_grid, 5.0)
     results.append(SuiteResult("steady_state", max(eu, ev) <= 1e-2, max(eu, ev), 1e-2))
 
@@ -392,7 +413,9 @@ def cmd_validate(args) -> int:
 # --- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="roadfield",
         description="Spreading speeds and simulations for KPP invasion along a fast-diffusion line",

@@ -23,20 +23,29 @@ golden-section refinement), serves all three, and one bisection,
 ``_bisect_gap``, brackets every root here, including the crossings in
 :func:`intersections` and the window speeds in :func:`gamma_plus_threshold`.
 
+Each gap in b (``_gap_values``, ``_strip_gap_values``, ``_limit_gap_values``
+and the branch differences ``_branch_diff`` of :func:`intersections`) is
+one expression of numpy ufuncs and arithmetic, valid on a float b or on an
+array: no ``np.asarray``, ``np.clip`` or ``np.where``, so one float
+evaluation costs microseconds, and it gives bit for bit the matching
+element of an array evaluation.  The same definition serves the grid scan,
+the golden refinement, the seeds, the certificate and every bisection.
+
 The speed itself comes from Newton's method on the tangency system in
 (a, b, c): the road equation, the field equation and the vanishing of
 their Jacobian determinant in (a, b) (``_Tangency``; the strip swaps in its
 road equation, the large-D limit its parabola for the field equation).
 The seed bisects a coarse ``SEED_POINTS`` scan of the gap to 1 % of the
-bracket.  The Newton speed is certified: the gap must be <= 0 at the lower
-end and > 0 at the upper end of a bracket of width <= tol around it, which
-is the bracket reported.  When Newton does not converge or the
-certificate fails (e.g. a tol below the float spacing) the solver
-bisects the gap's sign change to width tol instead and reports the
-midpoint.  The road discriminant is written once
-(``_road_disc``; the large-D limit is its D = 1 case) and every branch of
-the form (c +/- sqrt(disc))/scale is ``_root``; the half-plane and strip
-solvers share one tail, ``_tangent_speed``.
+bracket, and on by the same share while Newton finds no root from a seed
+bracket still wide against its speed.  The Newton speed is certified: the
+gap must be <= 0 at the lower end and > 0 at the upper end of a bracket of
+width <= tol around it, which is the bracket reported.  When Newton does
+not converge or the certificate fails (e.g. a tol below the float spacing)
+the solver bisects the gap's sign change to width tol instead and reports
+the midpoint.  The road discriminant is written once (``_road_disc``; the
+large-D limit is its D = 1 case) and every branch of the form
+(c +/- sqrt(disc))/scale is ``_root``; the half-plane and strip solvers
+share one tail, ``_tangent_speed``.
 """
 
 from __future__ import annotations
@@ -260,19 +269,20 @@ def _road_disc(c: float, beta, mu: float, d: float, D: float):
 
 def _root(c: float, disc, scale: float, s: float = 1.0):
     """Branch (c + s*sqrt(disc))/scale, a negative disc clamped to 0."""
-    return (c + s * np.sqrt(np.clip(disc, 0.0, None))) / scale
+    return (c + s * np.sqrt(np.maximum(disc, 0.0))) / scale
 
 
 def _lower_field_root(c: float, beta, params: ModelParams):
-    """Lower field root (c - sqrt(disc))/(2d) on an array of b, without cancellation.
+    """Lower field root (c - sqrt(disc))/(2d), scalar or array b, without cancellation.
 
     Evaluated as the product of the two roots, (c_KPP^2 + 4 d^2 b^2)/(4 d^2),
     over the upper root (c + sqrt(disc))/(2d): the difference form loses
     its digits once c is large (large D).  A negative disc is clamped to 0.
     """
     ck2 = c_kpp(params) ** 2
-    b2 = 4.0 * (params.d * np.asarray(beta, dtype=float)) ** 2
-    root = np.sqrt(np.clip(c * c - ck2 - b2, 0.0, None))
+    db = params.d * beta
+    b2 = 4.0 * (db * db)
+    root = np.sqrt(np.maximum(c * c - ck2 - b2, 0.0))
     return (ck2 + b2) / (2.0 * params.d * (c + root))
 
 
@@ -306,8 +316,7 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
 
 
 def _gap_values(c: float, beta, params: ModelParams) -> np.ndarray:
-    """alpha_road(+) - alpha_field(-) on an array of admissible b (edges clamped)."""
-    beta = np.asarray(beta, dtype=float)
+    """alpha_road(+) - alpha_field(-), scalar or array of admissible b (edges clamped)."""
     disc = _road_disc(c, beta, params.mu, params.d, params.D)
     return _root(c, disc, 2.0 * params.D) - _lower_field_root(c, beta, params)
 
@@ -461,17 +470,25 @@ def _newton_speed(gap: Callable[[float], float], gap_and_argmax: Callable[..., t
 
     The first seed (a, b, c) bisects the coarse gap to SEED_SHARE of
     [lo, hi] and takes b from the coarse argmax and a from the lower field
-    root; ``seeds`` adds more.  Every root has gap = 0 at its (b, c), so the
-    smallest root's c is the best bound on the speed, and only it is
-    certified: a bracket of width <= tol around it, inside [lo, hi], with
-    gap <= 0 at its lower end and gap > 0 at its upper end.
+    root; ``seeds`` adds more.  When Newton finds no root and the seed
+    bracket is still wider than SEED_SHARE of its lower end, the bracket is
+    bisected SEED_SHARE-fold again and Newton restarts from its midpoint:
+    a bracket spanning decades (the large-D limit at large mu/f'(0)) leaves
+    the first seed far above a small speed.  Every root has gap = 0 at its
+    (b, c), so the smallest root's c is the best bound on the speed, and
+    only it is certified: a bracket of width <= tol around it, inside
+    [lo, hi], with gap <= 0 at its lower end and gap > 0 at its upper end.
     """
-    s_lo, s_hi = _bisect_gap(lambda c: gap_and_argmax(c, coarse=True)[0], lo, hi,
-                             SEED_SHARE * (hi - lo))
-    c = 0.5 * (s_lo + s_hi)
-    b = gap_and_argmax(c, coarse=True)[1]
-    roots = [root for a, b, c in ((_lower_root(system, c, b, params), b, c), *seeds)
-             if (root := _newton_tangency(system, a, b, c, params)) is not None]
+    s_lo, s_hi = lo, hi
+    while True:
+        s_lo, s_hi = _bisect_gap(lambda c: gap_and_argmax(c, coarse=True)[0], s_lo, s_hi,
+                                 SEED_SHARE * (s_hi - s_lo))
+        c = 0.5 * (s_lo + s_hi)
+        b = gap_and_argmax(c, coarse=True)[1]
+        roots = [root for a, b, c in ((_lower_root(system, c, b, params), b, c), *seeds)
+                 if (root := _newton_tangency(system, a, b, c, params)) is not None]
+        if roots or s_hi - s_lo <= SEED_SHARE * s_lo:
+            break
     if not roots:
         return None
     _, b, c = min(roots, key=lambda root: root[2])
@@ -565,6 +582,15 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
 # --- crossings at fixed speed ---------------------------------------------------
 
 
+def _branch_diff(c: float, beta, params: ModelParams, rs: float, fs: float):
+    """Road branch rs minus field branch fs (signs +/-1), scalar or array b."""
+    d, D = params.d, params.D
+    ck = c_kpp(params)
+    a_road = _root(c, _road_disc(c, beta, params.mu, d, D), 2.0 * D, rs)
+    db = d * beta
+    return a_road - _root(c, c * c - ck * ck - 4.0 * (db * db), 2.0 * d, fs)
+
+
 def intersections(c: float, params: ModelParams) -> IntersectionSet:
     """Locate every crossing of the road curve with the field circle at speed c.
 
@@ -587,17 +613,13 @@ def intersections(c: float, params: ModelParams) -> IntersectionSet:
     grid = np.linspace(lo, hi, CROSSING_SCAN_POINTS)
     b_peak = _gap_and_argmax(c, params)[1]
     k_peak = min(max(int(np.searchsorted(grid, b_peak)) - 1, 0), CROSSING_SCAN_POINTS - 2)
-    d, mu, D = params.d, params.mu, params.D
-    ck = c_kpp(params)
     found: list[CurvePoint] = []
     for road_sign in ("+", "-"):
         for field_sign in ("+", "-"):
             rs, fs = _check_sign(road_sign), _check_sign(field_sign)
 
             def diff(b, _rs=rs, _fs=fs):
-                b = np.asarray(b, dtype=float)
-                a_road = _root(c, _road_disc(c, b, mu, d, D), 2.0 * D, _rs)
-                return a_road - _root(c, c * c - ck * ck - 4.0 * (d * b) ** 2, 2.0 * d, _fs)
+                return _branch_diff(c, b, params, _rs, _fs)
 
             vals = diff(grid)
             brackets = [(grid[k], grid[k + 1], vals[k], vals[k + 1])
@@ -686,15 +708,20 @@ def gamma_plus_threshold(params: ModelParams) -> GammaPlusClassification:
 
 
 def _strip_disc(c: float, beta, L: float, params: ModelParams):
-    """Discriminant of the strip road equation; finite continuation at b=0."""
-    beta = np.asarray(beta, dtype=float)
+    """Discriminant of the strip road equation, scalar or array b >= 0.
+
+    At b = 0 the ratio num/den is 0/0 and its finite limit 4 mu d D/(L + d)
+    stands in.  The indicator ``b <= 0`` (a bool, or a bool array) is the
+    0/1 weight that swaps it in: den + 0 = den and r + 0 = r exactly, so
+    b > 0 is untouched.
+    """
     d, mu, D = params.d, params.mu, params.D
-    e = np.exp(-2.0 * beta * L)
-    one_minus_e = -np.expm1(-2.0 * beta * L)
+    x = -2.0 * beta * L
+    e = np.exp(x)
     num = 4.0 * (1.0 + e) * mu * d * D * beta
-    den = one_minus_e + (1.0 + e) * d * beta
-    ratio = np.where(beta > 0.0, num / np.where(den > 0.0, den, 1.0), 4.0 * mu * d * D / (L + d))
-    return c * c + ratio
+    den = -np.expm1(x) + (1.0 + e) * d * beta
+    at_zero = beta <= 0.0
+    return c * c + (num / (den + at_zero) + at_zero * (4.0 * mu * d * D / (L + d)))
 
 
 def strip_alpha_road(c: float, beta: float, L: float, params: ModelParams) -> float:
@@ -714,6 +741,12 @@ def strip_alpha_road(c: float, beta: float, L: float, params: ModelParams) -> fl
     return float(_root(c, disc, 2.0 * params.D))
 
 
+def _strip_gap_values(c: float, beta, L: float, params: ModelParams):
+    """Strip road branch minus lower field branch, scalar or array b >= 0."""
+    a_road = _root(c, _strip_disc(c, beta, L, params), 2.0 * params.D)
+    return a_road - _lower_field_root(c, beta, params)
+
+
 def _strip_gap_and_argmax(c: float, L: float, params: ModelParams,
                           coarse: bool = False) -> tuple[float, float]:
     """max over b in (0, beta_kpp(c)] of (strip road branch - lower field branch).
@@ -722,11 +755,7 @@ def _strip_gap_and_argmax(c: float, L: float, params: ModelParams,
     what decides whether a root above c_KPP survives at this L.
     """
 
-    def gap(b):
-        a_road = _root(c, _strip_disc(c, b, L, params), 2.0 * params.D)
-        return a_road - _lower_field_root(c, b, params)
-
-    return _max_gap(gap, 0.0, beta_kpp(c, params), coarse)
+    return _max_gap(lambda b: _strip_gap_values(c, b, L, params), 0.0, beta_kpp(c, params), coarse)
 
 
 def _strip(params: ModelParams, L: float) -> _Tangency:
@@ -816,6 +845,12 @@ def _strip_speed_below(full: SpeedResult, params: ModelParams, L: float, tol: fl
 # --- large-D limit ----------------------------------------------------------------
 
 
+def _limit_gap_values(c: float, beta, params: ModelParams):
+    """Rescaled road branch (the D = 1 form) minus the field parabola, scalar or array b."""
+    d, fp0 = params.d, params.f_prime_0
+    return _root(c, _road_disc(c, beta, params.mu, d, 1.0), 2.0) - (fp0 + d * beta * beta) / c
+
+
 def _limit_gap_and_argmax(c: float, params: ModelParams, coarse: bool = False) -> tuple[float, float]:
     """max of (rescaled road branch - field parabola); the road is its D = 1 form."""
     d, mu, fp0 = params.d, params.mu, params.f_prime_0
@@ -823,12 +858,7 @@ def _limit_gap_and_argmax(c: float, params: ModelParams, coarse: bool = False) -
     road_sup = float(_root(c, c * c + 4.0 * mu, 2.0))
     hi_sq = (c * road_sup - fp0) / d
     hi = math.sqrt(hi_sq) if hi_sq > 0.0 else 0.0
-
-    def gap(b):
-        b = np.asarray(b, dtype=float)
-        return _root(c, _road_disc(c, b, mu, d, 1.0), 2.0) - (fp0 + d * b * b) / c
-
-    return _max_gap(gap, lo, hi, coarse)
+    return _max_gap(lambda b: _limit_gap_values(c, b, params), lo, hi, coarse)
 
 
 def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import roadfield as rf
-from roadfield.cli import main, validate_suites
+from roadfield.cli import _steady_t_end, main, validate_suites
 
 
 def write_config(tmp_path, text, name="params.cfg"):
@@ -69,6 +69,19 @@ def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, override):
 ], ids=["bogus", "L", "reaction"])
 def test_unknown_set_key_rejected(tmp_path, argv):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+
+
+def test_the_cached_parser_carries_no_option_into_the_next_call(tmp_path):
+    # the parser is built once per process; every call must still see only
+    # its own argv, so a bare call after overrides writes the default row
+    cfg = write_config(tmp_path, "D=4\nmu=2\n")
+    assert main(["speed", "--config", str(cfg), "--set", "D=7", "--set", "tol=1e-4",
+                 "--out-dir", str(tmp_path / "first")]) == 0
+    assert main(["speed", "--out-dir", str(tmp_path / "second")]) == 0
+    assert (tmp_path / "second" / "speed.csv").read_bytes() == (
+        b"D,d,mu,fp0,c_kpp,c_star,regime\n1,1,1,1,2,2,SubThreshold\n")
+    assert main(["strip", "--L", "20", "--set", "D=4", "--out-dir", str(tmp_path / "third")]) == 0
+    assert main(["strip", "--out-dir", str(tmp_path / "fourth")]) == 2   # no --L left over
 
 
 def test_speed_output_is_deterministic(tmp_path):
@@ -318,13 +331,24 @@ def test_validate_suites_flag_bad_reaction():
 @pytest.mark.parametrize("nu", ["4", "8"])
 def test_validate_ordering_holds_under_strong_exchange(tmp_path, capsys, nu):
     # the road row's field centre weight loses 2*dt*nu/dy through the exchange
-    # ghost; without the dy/(2nu) CFL term it goes negative here
-    main(["validate", "--out-dir", str(tmp_path), "--set", "d=0.5", "--set", f"nu={nu}",
-          "--set", "seeds=2", "--set", "steps=20"])
-    assert "PASS ordering" in capsys.readouterr().out
+    # ghost; without the dy/(2nu) CFL term it goes negative here.  The road
+    # also relaxes to nu/mu at rate 0.14 (nu = 4) or 0.078 (nu = 8), too
+    # slowly for the default end time of 40: steady_state must wait for it
+    code = main(["validate", "--out-dir", str(tmp_path), "--set", "d=0.5", "--set", f"nu={nu}",
+                 "--set", "seeds=2", "--set", "steps=20"])
+    out = capsys.readouterr().out
+    assert "PASS ordering" in out and "PASS steady_state" in out
     rows = dict(line.split(",", 1) for line in
                 (tmp_path / "validate.csv").read_text().splitlines()[1:])
     assert rows["ordering"].startswith("true,")
+    assert code == 0
+
+
+def test_steady_state_end_time_stays_40_at_the_defaults():
+    assert _steady_t_end(rf.ModelParams(D=1, d=1, mu=1)) == 40.0
+    assert 40.0 < _steady_t_end(rf.ModelParams(D=1, d=0.5, mu=1, nu=4)) <= 1000.0
+    # a road that barely leaks would relax for ever: the end time is capped
+    assert _steady_t_end(rf.ModelParams(D=1, d=1, mu=1e-6)) == 1000.0
 
 
 def test_validate_steady_state_run_survives_a_heavy_road():

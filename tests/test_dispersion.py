@@ -689,3 +689,68 @@ def test_low_strip_tangency_sits_at_zero_decay():
     strip = rf.strip_critical_speed(make(4.0), 2.0)
     assert 0.0 <= strip.tangency.beta <= 1e-12
     assert strip.bracket[0] <= 13.0 / 6.0 <= strip.bracket[1]
+
+
+@pytest.mark.parametrize("mu", [1e3, 1e4, 1e5, 1e6, 1e7])
+def test_limit_newton_certifies_at_large_exchange(monkeypatch, mu):
+    # the limit's first seed bracket spans [sqrt(low)/2, 2 sqrt(f'(0))], decades
+    # wide at large mu/f'(0); the seed must still come close enough to the
+    # speed for Newton, so no fallback bisection runs
+    bisect, newton = dispersion._bisect_gap, dispersion._newton_speed
+    fallbacks, certified = [], []
+
+    def spy_bisect(gap, lo, hi, tol):
+        if tol != dispersion.SEED_SHARE * (hi - lo):
+            fallbacks.append((lo, hi, tol))
+        return bisect(gap, lo, hi, tol)
+
+    def spy_newton(*args, **kwargs):
+        result = newton(*args, **kwargs)
+        certified.append(result is not None)
+        return result
+
+    monkeypatch.setattr(dispersion, "_bisect_gap", spy_bisect)
+    monkeypatch.setattr(dispersion, "_newton_speed", spy_newton)
+    p = make(1.0, mu=mu)
+    c = rf.limit_speed(p)
+    assert certified == [True] and fallbacks == []
+    lo, hi = rf.limit_bounds(p)
+    assert lo <= c * c <= hi
+
+
+def _float_and_array_agree(gap, betas):
+    """gap(float b) equals, bit for bit, the matching element of gap(array of b)."""
+    betas = np.asarray(betas, dtype=float)
+    values = gap(betas)
+    for b, value in zip(betas, values):
+        assert np.float64(gap(float(b))).tobytes() == value.tobytes(), b
+
+
+_shares = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
+
+
+def _spread(lo, hi, shares):
+    return [lo, hi, *(lo + s * (hi - lo) for s in shares)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=_coeff, mu=_coeff, fp0=_coeff, ratio=st.one_of(st.floats(0.05, 2.0), _super_wide),
+       u=st.floats(1e-6, 3.0), L=st.floats(0.5, 30.0), shares=_shares)
+def test_each_gap_gives_a_float_b_the_bits_of_its_array_element(d, mu, fp0, ratio, u, L, shares):
+    p = make(ratio * d, d=d, mu=mu, fp0=fp0)
+    c = rf.c_kpp(p) * (1.0 + u)
+    lo = max(rf.beta_D(c, p), -rf.beta_kpp(c, p))
+    hi = rf.beta_kpp(c, p)
+    _float_and_array_agree(lambda b: dispersion._gap_values(c, b, p), _spread(lo, hi, shares))
+    for rs in (1.0, -1.0):
+        for fs in (1.0, -1.0):
+            _float_and_array_agree(lambda b: dispersion._branch_diff(c, b, p, rs, fs),
+                                   _spread(lo, hi, shares))
+    _float_and_array_agree(lambda b: dispersion._strip_gap_values(c, b, L, p),
+                           _spread(0.0, hi, shares))
+    # the limit's rescaled speed lies in [sqrt(low)/2, 2 sqrt(f'(0))]; its b
+    # interval runs from the road curve's left end to the parabola's reach
+    c_lim = (0.5 + 1.5 * u / 3.0) * math.sqrt(fp0)
+    b_lim = -c_lim * c_lim / (d * (c_lim * c_lim + 4.0 * mu))
+    _float_and_array_agree(lambda b: dispersion._limit_gap_values(c_lim, b, p),
+                           _spread(b_lim, 2.0 * c_lim / d, shares))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import roadfield as rf
 from roadfield.errors import ConfigError
@@ -105,6 +107,49 @@ def test_symmetrize_speed_matches_transformed_half_plane():
     c_sym = p.nu * 2.0 * rf.critical_speed(sym).c_star  # nu of sym system is 2
     c_half = 2.0 * rf.critical_speed(half).c_star
     assert c_sym == pytest.approx(c_half, abs=1e-12)
+
+
+_coeff = st.floats(0.2, 5.0)   # d, mu, nu and f'(0)
+
+
+def _brackets_meet(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    """Two certified brackets of one speed overlap, up to rounding of their parameters."""
+    return max(a[0], b[0]) <= min(a[1], b[1]) * (1.0 + 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=_coeff, mu=_coeff, fp0=_coeff, ratio=st.floats(0.05, 40.0), k=st.floats(0.1, 10.0))
+def test_normalize_nu_round_trips_the_speed(d, mu, fp0, ratio, k):
+    # p has nu = 1, so its physical speed is c*(p) itself.  p_k is the same
+    # model with time running k times faster (every rate times k, nu = k),
+    # whose physical speed is k c*(p); normalize_nu must bring p_k back to p,
+    # so nu times c* of the normalised set lands on it, within the brackets
+    assume(abs(ratio - 2.0) > 1e-9)   # a rounding of D/d must not flip the regime
+    p = rf.ModelParams(D=ratio * d, d=d, mu=mu, nu=1.0, f_prime_0=fp0)
+    p_k = rf.ModelParams(D=k * p.D, d=k * d, mu=k * mu, nu=k, f_prime_0=k * fp0)
+    direct = rf.critical_speed(p)
+    back = rf.critical_speed(rf.normalize_nu(p_k))
+    assert back.regime == direct.regime
+    assert _brackets_meet(tuple(k * c for c in direct.bracket),
+                          tuple(p_k.nu * c for c in back.bracket))
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=_coeff, mu=_coeff, nu=_coeff, fp0=_coeff, ratio=st.floats(0.05, 40.0))
+def test_symmetrize_full_plane_speed_is_the_reduced_half_plane_speed(d, mu, nu, fp0, ratio):
+    # the whole-plane speed through symmetrize_full_plane and normalize_nu,
+    # against the half-plane problem with mu/2 and 2 nu written out and
+    # brought to nu = 1 by hand, multiplying every rate by 1/(2 nu)
+    assume(abs(ratio - 2.0) > 1e-9)
+    p = rf.ModelParams(D=ratio * d, d=d, mu=mu, nu=nu, f_prime_0=fp0)
+    sym = rf.symmetrize_full_plane(p)
+    whole = rf.critical_speed(rf.normalize_nu(sym))
+    k = 1.0 / (2.0 * nu)
+    half = rf.critical_speed(rf.ModelParams(D=k * p.D, d=k * d, mu=k * (0.5 * mu), nu=1.0,
+                                            f_prime_0=k * fp0))
+    assert whole.regime == half.regime
+    assert _brackets_meet(tuple(sym.nu * c for c in whole.bracket),
+                          tuple(c / k for c in half.bracket))
 
 
 # --- check_kpp ---------------------------------------------------------------
