@@ -41,33 +41,37 @@ from .simulate import _csv_lines, _fmt, _write_csv
 
 __all__ = ["main", "validate_suites", "SuiteResult", "PRESETS", "Preset"]
 
-_FLOAT_SET_KEYS = {
-    "D", "d", "mu", "nu", "fp0",
-    "tol", "t_end", "dx", "dy", "x_min", "x_max", "y_max",
-    "safety", "threshold", "window_fraction",
+_PARAM_SET_KEYS = dict.fromkeys(("D", "d", "mu", "nu", "fp0"), float)
+_SOLVER_KNOBS = {"tol": float}
+# the --set knobs each verb reads, with their types; any other knob is an error
+_VERB_KNOBS = {
+    "speed": _SOLVER_KNOBS,
+    "sweep": _SOLVER_KNOBS,
+    "strip": _SOLVER_KNOBS,
+    "limit": _SOLVER_KNOBS,
+    "simulate": {**_SOLVER_KNOBS, "snapshot_every": int, **dict.fromkeys(
+        ("t_end", "dx", "dy", "x_min", "x_max", "y_max", "safety", "threshold", "window_fraction"),
+        float)},
+    "validate": {"safety": float, "seeds": int, "steps": int},
 }
-_INT_SET_KEYS = {"snapshot_every", "seeds", "steps"}
 
 
-def _parse_set_overrides(pairs: list[str]) -> dict:
+def _parse_set_overrides(pairs: list[str], verb: str) -> dict:
+    types = {**_PARAM_SET_KEYS, **_VERB_KNOBS[verb]}
     out: dict = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, _, val = pair.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _FLOAT_SET_KEYS:
-            try:
-                out[key] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"--set {key}: bad number {val!r}") from exc
-        elif key in _INT_SET_KEYS:
-            try:
-                out[key] = int(val)
-            except ValueError as exc:
-                raise ConfigError(f"--set {key}: bad integer {val!r}") from exc
-        else:
-            raise ConfigError(f"--set: unknown key {key!r}")
+        kind = types.get(key)
+        if kind is None:
+            raise ConfigError(f"--set: unknown key {key!r} for {verb}; it reads {', '.join(types)}")
+        try:
+            out[key] = kind(val)
+        except ValueError as exc:
+            noun = "number" if kind is float else "integer"
+            raise ConfigError(f"--set {key}: bad {noun} {val!r}") from exc
     return out
 
 
@@ -81,7 +85,7 @@ def _load_params(args, preset_overrides: dict | None = None) -> tuple[ModelParam
               "nu": params.nu, "fp0": params.f_prime_0}
     if preset_overrides:
         values.update({k: v for k, v in preset_overrides.items() if k in values})
-    knobs = _parse_set_overrides(args.set or [])
+    knobs = _parse_set_overrides(args.set or [], args.verb)
     for key in CONFIG_KEYS:
         if key in knobs:
             values[key] = knobs.pop(key)
@@ -163,7 +167,7 @@ def cmd_strip(args) -> int:
         raise ConfigError("strip needs --L <height>")
     norm = normalize_nu(params)
     full = dispersion.critical_speed(norm, tol)
-    strip = dispersion._strip_speed_below(full, norm, L, tol)
+    strip = dispersion.strip_critical_speed(norm, L, tol, full=full)
     nu = params.nu
     _emit(args, "strip.csv", "D,d,mu,fp0,L,c_kpp,c_star_L,c_star",
           [[params.D, params.d, params.mu, params.f_prime_0,

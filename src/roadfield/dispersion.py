@@ -15,37 +15,40 @@ for D <= 2d they already touch at c_KPP and the road plays no role.
 
 All speeds here are computed on nu-normalised parameters (apply
 :func:`roadfield.params.normalize_nu` first); operations raise ValueError
-otherwise.  Each speed is where a scalar gap function of c (road branch
-minus field branch, maximised over admissible b) changes sign.  The
-half-plane, strip and large-D solvers differ only in their gap(b) and its
-b interval: one maximiser, ``_max_gap`` (a dense grid scan, then
-golden-section refinement), serves all three, and one bisection,
-``_bisect_gap``, brackets every root here, including the crossings in
-:func:`intersections` and the window speeds in :func:`gamma_plus_threshold`.
+otherwise.
 
-Each gap in b (``_gap_values``, ``_strip_gap_values``, ``_limit_gap_values``
-and the branch differences ``_branch_diff`` of :func:`intersections`) is
-one expression of numpy ufuncs and arithmetic, valid on a float b or on an
-array: no ``np.asarray``, ``np.clip`` or ``np.where``, so one float
-evaluation costs microseconds, and it gives bit for bit the matching
-element of an array evaluation.  The same definition serves the grid scan,
-the golden refinement, the seeds, the certificate and every bisection.
+Each speed problem is one ``_Tangency`` system: the road equation
+road a^2 - c a = h(b), the field equation field a^2 - c a + f'(0) + d b^2
+= 0, and the admissible b interval at each c.  The half-plane has
+road = D, field = d and h(b) = mu d b/(1 + d b); the strip swaps in the
+exchange term of its wall; the large-D limit has road = 1 and field = 0,
+so its field locus is the parabola a = (f'(0) + d b^2)/c.  Everything is
+derived from the system once it is built:
 
-The speed itself comes from Newton's method on the tangency system in
-(a, b, c): the road equation, the field equation and the vanishing of
-their Jacobian determinant in (a, b) (``_Tangency``; the strip swaps in its
-road equation, the large-D limit its parabola for the field equation).
-The seed bisects a coarse ``SEED_POINTS`` scan of the gap to 1 % of the
-bracket, and on by the same share while Newton finds no root from a seed
-bracket still wide against its speed.  The Newton speed is certified: the
-gap must be <= 0 at the lower end and > 0 at the upper end of a bracket of
-width <= tol around it, which is the bracket reported.  When Newton does
-not converge or the certificate fails (e.g. a tol below the float spacing)
-the solver bisects the gap's sign change to width tol instead and reports
-the midpoint.  The road discriminant is written once (``_road_disc``; the
-large-D limit is its D = 1 case) and every branch of the form
-(c +/- sqrt(disc))/scale is ``_root``; the half-plane and strip solvers
-share one tail, ``_tangent_speed``.
+- the gap in b, ``_gap`` (upper road root minus lower field root), one
+  expression of numpy ufuncs and arithmetic, valid on a float b or on an
+  array, so one float evaluation costs microseconds and gives bit for
+  bit the matching element of an array evaluation;
+- the gap in c, ``_gap_and_argmax``: the gap maximised over the b
+  interval by one maximiser, ``_max_gap`` (a dense grid scan, then
+  golden-section refinement); it changes sign at the speed;
+- the speed, ``_tangent_speed``: Newton's method on the tangency system in
+  (a, b, c), the road equation, the field equation and the vanishing of
+  their Jacobian determinant in (a, b), which needs h' and h''
+  (``slopes``).  The seed bisects a coarse ``SEED_POINTS`` scan of the gap
+  to 1 % of the bracket, and on by the same share while Newton finds no
+  root from a seed bracket still wide against its speed.  The Newton
+  speed is certified: the gap must be <= 0 at the lower end and > 0 at
+  the upper end of a bracket of width <= tol around it, which is the
+  bracket reported.  When Newton does not converge or the certificate
+  fails (e.g. a tol below the float spacing) the gap's sign change is
+  bisected to width tol on the bracket Newton was seeded in, and the
+  midpoint is reported.
+
+One bisection, ``_bisect_gap``, brackets every root here, including the
+crossings in :func:`intersections` and the window speeds in
+:func:`gamma_plus_threshold`.  Every branch of the form
+(c +/- sqrt(disc))/scale is ``_root``.
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ class ExponentialAnsatz:
 
 
 def _require_normalized(params: ModelParams) -> None:
-    if params.nu != 1.0:
+    if not params.is_normalized:
         raise ValueError("dispersion operations require nu=1; apply normalize_nu first")
 
 
@@ -238,7 +241,7 @@ def alpha_road(c: float, beta: float, params: ModelParams, sign: str) -> float:
         raise DomainError("alpha_road needs D > 0 (degenerate road has no curve)")
     if beta <= -1.0 / params.d:
         raise DomainError(f"require beta > -1/d = {-1.0/params.d}, got {beta}")
-    disc = _clamp_roundoff(_road_disc(c, beta, params.mu, params.d, params.D), c * c)
+    disc = _clamp_roundoff(_road_disc(_half_plane(params), c, beta), c * c)
     if disc < 0.0:
         raise DomainError(f"road discriminant negative at (c={c}, beta={beta}): beta < beta_D(c)")
     return float(_root(c, disc, 2.0 * params.D, s))
@@ -262,28 +265,14 @@ def alpha_field(c: float, beta: float, params: ModelParams, sign: str) -> float:
     return (ck * ck + b2) / (2.0 * params.d * upper)
 
 
-def _road_disc(c: float, beta, mu: float, d: float, D: float):
-    """Discriminant c^2 + 4*mu*d*D*b/(1+d*b) of the road equation, scalar or array b."""
-    return c * c + 4.0 * mu * d * D * beta / (1.0 + d * beta)
-
-
 def _root(c: float, disc, scale: float, s: float = 1.0):
-    """Branch (c + s*sqrt(disc))/scale, a negative disc clamped to 0."""
-    return (c + s * np.sqrt(np.maximum(disc, 0.0))) / scale
+    """Branch (c + s*sqrt(disc))/scale, float or array disc, a negative disc clamped to 0.
 
-
-def _lower_field_root(c: float, beta, params: ModelParams):
-    """Lower field root (c - sqrt(disc))/(2d), scalar or array b, without cancellation.
-
-    Evaluated as the product of the two roots, (c_KPP^2 + 4 d^2 b^2)/(4 d^2),
-    over the upper root (c + sqrt(disc))/(2d): the difference form loses
-    its digits once c is large (large D).  A negative disc is clamped to 0.
+    The clamp is the product with the 0/1 indicator ``disc > 0``: on a float
+    it costs a multiplication, where ``np.maximum`` costs a ufunc call.  A
+    negative disc becomes -0.0, whose square root -0.0 adds like 0.
     """
-    ck2 = c_kpp(params) ** 2
-    db = params.d * beta
-    b2 = 4.0 * (db * db)
-    root = np.sqrt(np.maximum(c * c - ck2 - b2, 0.0))
-    return (ck2 + b2) / (2.0 * params.d * (c + root))
+    return (c + s * np.sqrt(disc * (disc > 0.0))) / scale
 
 
 def _clamp_roundoff(disc: float, scale: float) -> float:
@@ -294,7 +283,90 @@ def _clamp_roundoff(disc: float, scale: float) -> float:
     return disc
 
 
-# --- scalar gap reduction and its maximiser ------------------------------------
+# --- one tangency system per speed problem ----------------------------------------
+
+
+@dataclass(frozen=True)
+class _Tangency:
+    """The loci behind one speed, and the tangency system in (a, b, c) Newton solves.
+
+    road:     road a^2 - c a - h(b) = 0
+    field:    field a^2 - c a + f'(0) + d b^2 = 0
+    tangency: det d(road, field)/d(a, b) = 0
+
+    ``road`` is D (1 in the large-D limit) and ``field`` is d (0 for the
+    limit parabola).  ``h(b)`` is the exchange term, one ufunc-only
+    expression valid on a float or an array; ``slopes(b)`` gives h' and h''
+    for Newton.  ``b_range(c)`` is the admissible b interval of the gap at
+    speed c.  ``ck2`` is 4 field f'(0), written c_KPP^2 = c_kpp(params)**2
+    for a circle so the field root is exact at b = 0, c = c_KPP.  Newton
+    keeps b above ``b_min``.  An ``even`` system (the strip) has the root
+    at -b wherever it has one at b, and reports b >= 0.
+    """
+
+    road: float
+    field: float
+    h: Callable
+    slopes: Callable[[float], tuple[float, float]]
+    b_range: Callable[[float], tuple[float, float]]
+    d: float
+    fp0: float
+    ck2: float
+    b_min: float
+    even: bool = False
+
+
+def _half_plane(params: ModelParams) -> _Tangency:
+    """The half-plane's system, h(b) = mu d b/(1 + d b), b > -1/d.
+
+    Its b interval is [max(beta_D(c), -beta_kpp(c)), beta_kpp(c)], where the
+    road curve and the field circle both exist.
+    """
+    d = params.d
+    mud = params.mu * d
+
+    def h(b):
+        # times the reciprocal: Newton's last rounding sets c*'s final digits
+        return mud * b * (1.0 / (1.0 + d * b))
+
+    def slopes(b: float) -> tuple[float, float]:
+        w = 1.0 / (1.0 + d * b)
+        return mud * w * w, -2.0 * mud * d * w * w * w
+
+    def b_range(c: float) -> tuple[float, float]:
+        reach = beta_kpp(c, params)
+        return max(beta_D(c, params), -reach), reach
+
+    return _Tangency(params.D, d, h, slopes, b_range, d, params.f_prime_0,
+                     c_kpp(params) ** 2, -1.0 / d)
+
+
+def _road_disc(system: _Tangency, c: float, b):
+    """Discriminant c^2 + 4 road h(b) of the system's road equation, float or array b."""
+    return c * c + 4.0 * system.road * system.h(b)
+
+
+def _field_disc(system: _Tangency, c: float, b):
+    """Discriminant c^2 - 4 field q of the field equation, 4 field q = c_KPP^2 + 4 field d b^2."""
+    return c * c - (system.ck2 + 4.0 * system.field * b * (system.d * b))
+
+
+def _lower_root(system: _Tangency, c: float, b):
+    """Lower field root q/((c + sqrt(disc))/2), q = f'(0) + d b^2, float or array b.
+
+    The product of the two roots over the upper root: the difference form
+    (c - sqrt(disc))/(2 field) loses its digits once c is large (large D),
+    and this one holds at field = 0, where it is q/c.
+    """
+    return (system.fp0 + system.d * b * b) / _root(c, _field_disc(system, c, b), 2.0)
+
+
+def _gap(system: _Tangency, c: float, b):
+    """Upper road root minus lower field root at speed c, float or array b."""
+    return _root(c, _road_disc(system, c, b), 2.0 * system.road) - _lower_root(system, c, b)
+
+
+# --- the gap in c: its maximiser and bisection ---------------------------------------
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
@@ -315,12 +387,6 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
     return x, f(x)
 
 
-def _gap_values(c: float, beta, params: ModelParams) -> np.ndarray:
-    """alpha_road(+) - alpha_field(-), scalar or array of admissible b (edges clamped)."""
-    disc = _road_disc(c, beta, params.mu, params.d, params.D)
-    return _root(c, disc, 2.0 * params.D) - _lower_field_root(c, beta, params)
-
-
 def _max_gap(gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
              coarse: bool = False) -> tuple[float, float]:
     """(max, argmax) of a vectorised gap(b) over [lo, hi].
@@ -332,14 +398,11 @@ def _max_gap(gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     """
     if hi <= lo:
         return float(gap(lo)), lo
-    if coarse:
-        grid = np.linspace(lo, hi, SEED_POINTS)
-        vals = gap(grid)
-        k = int(np.argmax(vals))
-        return float(vals[k]), float(grid[k])
-    grid = np.linspace(lo, hi, GRID_POINTS)
+    grid = np.linspace(lo, hi, SEED_POINTS if coarse else GRID_POINTS)
     vals = gap(grid)
     k = int(np.argmax(vals))
+    if coarse:
+        return float(vals[k]), float(grid[k])
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, GRID_POINTS - 1)]
     x, fx = _golden_max(lambda t: float(gap(t)), a, b, BETA_REFINE_TOL)
@@ -348,9 +411,10 @@ def _max_gap(gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return float(vals[k]), float(grid[k])
 
 
-def _gap_and_argmax(c: float, params: ModelParams, coarse: bool = False) -> tuple[float, float]:
-    lo = max(beta_D(c, params), -beta_kpp(c, params))
-    return _max_gap(lambda b: _gap_values(c, b, params), lo, beta_kpp(c, params), coarse)
+def _gap_and_argmax(system: _Tangency, c: float, coarse: bool = False) -> tuple[float, float]:
+    """(max, argmax) of the system's gap over its b interval at speed c."""
+    lo, hi = system.b_range(c)
+    return _max_gap(lambda b: _gap(system, c, b), lo, hi, coarse)
 
 
 def curve_gap(c: float, params: ModelParams) -> float:
@@ -364,9 +428,8 @@ def curve_gap(c: float, params: ModelParams) -> float:
     _require_normalized(params)
     if params.D <= 0:
         raise DomainError("curve_gap needs D > 0")
-    if c < c_kpp(params):
-        raise DomainError(f"require c >= c_KPP, got {c}")
-    return _gap_and_argmax(c, params)[0]
+    # the b interval rejects c < c_KPP (beta_kpp)
+    return _gap_and_argmax(_half_plane(params), c)[0]
 
 
 def _bisect_gap(gap: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -390,47 +453,11 @@ def _bisect_gap(gap: Callable[[float], float], lo: float, hi: float, tol: float)
     return lo, hi
 
 
-@dataclass(frozen=True)
-class _Tangency:
-    """The tangency system in (a, b, c) behind one speed.
-
-    road:     road a^2 - c a - h(b) = 0
-    field:    field a^2 - c a + f'(0) + d b^2 = 0
-    tangency: det d(road, field)/d(a, b) = 0
-
-    ``road`` is D (1 in the large-D limit), ``field`` is d (0 for the limit
-    parabola), and ``exchange(b)`` gives h, h' and h'' of the exchange term
-    (mu d b/(1 + d b) on the half-plane).  Newton keeps b above ``b_min``.
-    An ``even`` system (the strip) has the root at -b wherever it has one
-    at b, and reports b >= 0.
-    """
-
-    road: float
-    field: float
-    exchange: Callable[[float], tuple[float, float, float]]
-    b_min: float
-    even: bool = False
+# --- the speed: certified Newton, else bisection ---------------------------------------
 
 
-def _half_plane(params: ModelParams) -> _Tangency:
-    """The half-plane's tangency system, h(b) = mu d b/(1 + d b), b > -1/d."""
-    mu, d = params.mu, params.d
-
-    def h(b: float) -> tuple[float, float, float]:
-        w = 1.0 / (1.0 + d * b)
-        return mu * d * b * w, mu * d * w * w, -2.0 * mu * d * d * w * w * w
-
-    return _Tangency(params.D, d, h, -1.0 / d)
-
-
-def _lower_root(system: _Tangency, c: float, b: float, params: ModelParams) -> float:
-    """Lower root of the system's field equation, 2q/(c + sqrt(c^2 - 4 field q)), q = f'(0) + d b^2."""
-    q = params.f_prime_0 + params.d * b * b
-    return 2.0 * q / (c + math.sqrt(max(c * c - 4.0 * system.field * q, 0.0)))
-
-
-def _newton_tangency(system: _Tangency, a: float, b: float, c: float,
-                     params: ModelParams) -> tuple[float, float, float] | None:
+def _newton_tangency(system: _Tangency, a: float, b: float,
+                     c: float) -> tuple[float, float, float] | None:
     """Newton's method on the tangency system from (a, b, c).
 
     Stops once a step moves c by at most NEWTON_RTOL of c (float resolution
@@ -438,11 +465,12 @@ def _newton_tangency(system: _Tangency, a: float, b: float, c: float,
     Jacobian, a non-finite iterate or b <= b_min, or when the root is not on
     the upper road branch and the lower field branch.
     """
-    D, k, d, fp0 = system.road, system.field, params.d, params.f_prime_0
+    D, k, d, fp0 = system.road, system.field, system.d, system.fp0
     for _ in range(NEWTON_STEPS):
         if not b > system.b_min:
             return None
-        h, h1, h2 = system.exchange(b)
+        h = system.h(b)
+        h1, h2 = system.slopes(b)
         ra, fa, fb = 2.0 * D * a - c, 2.0 * k * a - c, 2.0 * d * b
         residual = (D * a * a - c * a - h, k * a * a - c * a + fp0 + d * b * b, ra * fb + h1 * fa)
         jacobian = ((ra, -h1, -a),
@@ -462,9 +490,8 @@ def _newton_tangency(system: _Tangency, a: float, b: float, c: float,
     return None
 
 
-def _newton_speed(gap: Callable[[float], float], gap_and_argmax: Callable[..., tuple[float, float]],
-                  system: _Tangency, lo: float, hi: float, tol: float, params: ModelParams,
-                  seeds: tuple[tuple[float, float, float], ...] = ()
+def _newton_speed(system: _Tangency, gap: Callable[[float], float], lo: float, hi: float,
+                  tol: float, seeds: tuple[tuple[float, float, float], ...] = ()
                   ) -> tuple[float, float, tuple[float, float]] | None:
     """(c, b, bracket) by certified Newton inside [lo, hi]; None when the certificate fails.
 
@@ -481,12 +508,12 @@ def _newton_speed(gap: Callable[[float], float], gap_and_argmax: Callable[..., t
     """
     s_lo, s_hi = lo, hi
     while True:
-        s_lo, s_hi = _bisect_gap(lambda c: gap_and_argmax(c, coarse=True)[0], s_lo, s_hi,
+        s_lo, s_hi = _bisect_gap(lambda c: _gap_and_argmax(system, c, coarse=True)[0], s_lo, s_hi,
                                  SEED_SHARE * (s_hi - s_lo))
         c = 0.5 * (s_lo + s_hi)
-        b = gap_and_argmax(c, coarse=True)[1]
-        roots = [root for a, b, c in ((_lower_root(system, c, b, params), b, c), *seeds)
-                 if (root := _newton_tangency(system, a, b, c, params)) is not None]
+        b = _gap_and_argmax(system, c, coarse=True)[1]
+        roots = [root for a, b, c in ((float(_lower_root(system, c, b)), b, c), *seeds)
+                 if (root := _newton_tangency(system, a, b, c)) is not None]
         if roots or s_hi - s_lo <= SEED_SHARE * s_lo:
             break
     if not roots:
@@ -501,39 +528,29 @@ def _newton_speed(gap: Callable[[float], float], gap_and_argmax: Callable[..., t
     return c, b, (c_lo, c_hi)
 
 
-def _tangent_speed(gap: Callable[[float], float], gap_and_argmax: Callable[..., tuple[float, float]],
-                   system: _Tangency, lo: float, hi: float | None, tol: float, params: ModelParams,
-                   branch: Branch, seeds: tuple[tuple[float, float, float], ...] = (),
-                   bisect_hi: Callable[[], float] | None = None) -> SpeedResult:
-    """The speed where gap changes sign above lo, with its certified bracket and tangency point.
+def _tangent_speed(system: _Tangency, gap: Callable[[float], float], lo: float, hi: float,
+                   tol: float, seeds: tuple[tuple[float, float, float], ...] = ()
+                   ) -> tuple[float, float, tuple[float, float]]:
+    """(c, b, bracket) where gap, the system's gap in c, changes sign in [lo, hi].
 
-    Certified Newton on ``system`` inside [lo, hi] first (:func:`_newton_speed`;
-    skipped when hi is None).  When that fails, gap's sign change is
-    bisected on [lo, hi] (hi from ``bisect_hi()`` when given) to width
-    tol; the speed is the midpoint and b the maximising b of
-    ``gap_and_argmax`` there.  The tangency point is (b, lower field root).
+    Certified Newton on ``system`` inside [lo, hi] first (:func:`_newton_speed`).
+    When that fails, gap's sign change is bisected on the same [lo, hi] to
+    width tol; the speed is the midpoint and b the maximising b there.
     """
-    newton = None if hi is None else _newton_speed(gap, gap_and_argmax, system, lo, hi, tol,
-                                                   params, seeds)
+    newton = _newton_speed(system, gap, lo, hi, tol, seeds)
     if newton is not None:
-        c, b_star, (lo, hi) = newton
-    else:
-        lo, hi = _bisect_gap(gap, lo, hi if bisect_hi is None else bisect_hi(), tol)
-        c = 0.5 * (lo + hi)
-        _, b_star = gap_and_argmax(c)
-    tangency = CurvePoint(beta=b_star, alpha=alpha_field(c, b_star, params, "-"), branch=branch)
-    return SpeedResult(c_star=c, regime=Regime.SUPER_THRESHOLD, bracket=(lo, hi), tol=tol,
+        return newton
+    lo, hi = _bisect_gap(gap, lo, hi, tol)
+    c = 0.5 * (lo + hi)
+    return c, _gap_and_argmax(system, c)[1], (lo, hi)
+
+
+def _super_threshold(c: float, b: float, bracket: tuple[float, float], tol: float,
+                     params: ModelParams, branch: Branch) -> SpeedResult:
+    """A speed above c_KPP, its bracket and its tangency point (b, lower field root)."""
+    tangency = CurvePoint(beta=b, alpha=alpha_field(c, b, params, "-"), branch=branch)
+    return SpeedResult(c_star=c, regime=Regime.SUPER_THRESHOLD, bracket=bracket, tol=tol,
                        tangency=tangency)
-
-
-def _doubled(gap: Callable[[float], float], lo: float) -> float | None:
-    """The first lo + 2^k (k = 0, 1, ...) with a positive gap; None past 2^60 lo."""
-    hi = lo + 1.0
-    while gap(hi) <= 0.0:
-        hi = lo + 2.0 * (hi - lo)
-        if hi > 2.0**60 * lo:
-            return None
-    return hi
 
 
 # --- critical speed -------------------------------------------------------------
@@ -545,12 +562,12 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
     For D <= 2d (including the degenerate D=0 road) the road cannot outrun
     the field and c* = c_KPP exactly.  For D > 2d the result is the unique
     root of :func:`curve_gap`: the Newton speed of the tangency system,
-    seeded inside [c_KPP, c_hi] (c_hi doubled until the coarse gap is
-    positive), with a bracket of width <= tol on which :func:`curve_gap`
-    changes sign.  When that certificate fails the root is bisected from
-    [c_KPP, c_hi] (c_hi doubled on :func:`curve_gap`) and the speed is the
-    bracket midpoint.  The returned tangency point records b and the lower
-    field branch there.
+    seeded inside [c_KPP, c_hi] (c_hi = c_KPP + 2^k, doubled until the
+    coarse gap is positive), with a bracket of width <= tol on which
+    :func:`curve_gap` changes sign.  When that certificate fails the root
+    is bisected on the same [c_KPP, c_hi] and the speed is the bracket
+    midpoint.  The returned tangency point records b and the lower field
+    branch there.
     """
     _require_normalized(params)
     if tol <= 0:
@@ -558,37 +575,26 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
     ck = c_kpp(params)
     if params.D <= 2.0 * params.d:
         return SpeedResult(c_star=ck, regime=Regime.SUB_THRESHOLD, bracket=(ck, ck), tol=tol)
-
-    def gap(c: float) -> float:
-        return curve_gap(c, params)
-
-    def gap_and_argmax(c: float, coarse: bool = False) -> tuple[float, float]:
-        return _gap_and_argmax(c, params, coarse)
-
-    def bisect_hi() -> float:
-        hi = _doubled(gap, ck)
-        if hi is None:
+    system = _half_plane(params)
+    # a positive coarse max is a positive gap, so c_hi is an upper end for both
+    hi = ck + 1.0
+    while _gap_and_argmax(system, hi, coarse=True)[0] <= 0.0:
+        hi = ck + 2.0 * (hi - ck)
+        if hi > 2.0**60 * ck:
             raise BracketError(
                 f"no curve crossing found up to c={2.0**60 * ck}; parameters are inconsistent"
             )
-        return hi
-
-    # a positive coarse max is a positive gap, so the coarse doubling is an upper end too
-    return _tangent_speed(gap, gap_and_argmax, _half_plane(params), ck,
-                          _doubled(lambda c: gap_and_argmax(c, coarse=True)[0], ck), tol, params,
-                          Branch.FIELD_MINUS, bisect_hi=bisect_hi)
+    return _super_threshold(*_tangent_speed(system, lambda c: curve_gap(c, params), ck, hi, tol),
+                            tol, params, Branch.FIELD_MINUS)
 
 
 # --- crossings at fixed speed ---------------------------------------------------
 
 
-def _branch_diff(c: float, beta, params: ModelParams, rs: float, fs: float):
-    """Road branch rs minus field branch fs (signs +/-1), scalar or array b."""
-    d, D = params.d, params.D
-    ck = c_kpp(params)
-    a_road = _root(c, _road_disc(c, beta, params.mu, d, D), 2.0 * D, rs)
-    db = d * beta
-    return a_road - _root(c, c * c - ck * ck - 4.0 * (db * db), 2.0 * d, fs)
+def _branch_diff(system: _Tangency, c: float, b, rs: float, fs: float):
+    """Road branch rs minus field branch fs (signs +/-1) of the system, float or array b."""
+    return (_root(c, _road_disc(system, c, b), 2.0 * system.road, rs)
+            - _root(c, _field_disc(system, c, b), 2.0 * system.field, fs))
 
 
 def intersections(c: float, params: ModelParams) -> IntersectionSet:
@@ -608,18 +614,16 @@ def intersections(c: float, params: ModelParams) -> IntersectionSet:
     _require_normalized(params)
     if params.D <= 0:
         raise DomainError("intersections needs D > 0 (degenerate road has no curve)")
-    lo = max(beta_D(c, params), -beta_kpp(c, params))
-    hi = beta_kpp(c, params)
-    grid = np.linspace(lo, hi, CROSSING_SCAN_POINTS)
-    b_peak = _gap_and_argmax(c, params)[1]
+    system = _half_plane(params)
+    grid = np.linspace(*system.b_range(c), CROSSING_SCAN_POINTS)
+    b_peak = _gap_and_argmax(system, c)[1]
     k_peak = min(max(int(np.searchsorted(grid, b_peak)) - 1, 0), CROSSING_SCAN_POINTS - 2)
     found: list[CurvePoint] = []
-    for road_sign in ("+", "-"):
-        for field_sign in ("+", "-"):
-            rs, fs = _check_sign(road_sign), _check_sign(field_sign)
+    for rs in (1.0, -1.0):
+        for field_sign, branch in (("+", Branch.FIELD_PLUS), ("-", Branch.FIELD_MINUS)):
 
-            def diff(b, _rs=rs, _fs=fs):
-                return _branch_diff(c, b, params, _rs, _fs)
+            def diff(b, _rs=rs, _fs=_check_sign(field_sign)):
+                return _branch_diff(system, c, b, _rs, _fs)
 
             vals = diff(grid)
             brackets = [(grid[k], grid[k + 1], vals[k], vals[k + 1])
@@ -638,7 +642,6 @@ def intersections(c: float, params: ModelParams) -> IntersectionSet:
                 s = 1.0 if va < vb else -1.0
                 a, b = _bisect_gap(lambda t, s=s: s * float(diff(t)) >= 0.0, float(a), float(b), 0.0)
                 beta_root = 0.5 * (a + b)
-                branch = Branch.FIELD_MINUS if field_sign == "-" else Branch.FIELD_PLUS
                 alpha_root = alpha_field(c, beta_root, params, field_sign)
                 if not any(
                     abs(p.beta - beta_root) < 1e-9 and abs(p.alpha - alpha_root) < 1e-9
@@ -707,21 +710,48 @@ def gamma_plus_threshold(params: ModelParams) -> GammaPlusClassification:
 # --- horizontal strip (field truncated at height L) ------------------------------
 
 
-def _strip_disc(c: float, beta, L: float, params: ModelParams):
-    """Discriminant of the strip road equation, scalar or array b >= 0.
+def _strip(params: ModelParams, L: float) -> _Tangency:
+    """The strip's system, with the wall's exchange term h(b) = mu d/(d + L g(b L)).
 
-    At b = 0 the ratio num/den is 0/0 and its finite limit 4 mu d D/(L + d)
-    stands in.  The indicator ``b <= 0`` (a bool, or a bool array) is the
-    0/1 weight that swaps it in: den + 0 = den and r + 0 = r exactly, so
-    b > 0 is untouched.
+    g(x) = tanh(x)/x is even, so the strip gap is even in b and its max can
+    sit at b = 0, where the tangency condition holds identically; Newton
+    may end there, or cross it.  The b interval is [0, beta_kpp(c)].  g is
+    written with e = exp(-2|x|) as (1 - e)/((1 + e)|x|); at x = 0 that is
+    0/0, and the indicator ``|x| <= 0`` (a bool, or a bool array) is the 0/1
+    weight that swaps in g(0) = 1: |x| + 0 = |x| and g + 0 = g exactly, so
+    x != 0 is untouched.  Near x = 0 the slopes use the Taylor series of g.
     """
-    d, mu, D = params.d, params.mu, params.D
-    x = -2.0 * beta * L
-    e = np.exp(x)
-    num = 4.0 * (1.0 + e) * mu * d * D * beta
-    den = -np.expm1(x) + (1.0 + e) * d * beta
-    at_zero = beta <= 0.0
-    return c * c + (num / (den + at_zero) + at_zero * (4.0 * mu * d * D / (L + d)))
+    mu, d = params.mu, params.d
+    mud = mu * d
+
+    def h(b):
+        ax = abs(b) * L
+        x = -2.0 * ax
+        at_zero = ax <= 0.0
+        g = -np.expm1(x) / (1.0 + np.exp(x)) / (ax + at_zero) + at_zero
+        return mud / (d + L * g)
+
+    def slopes(b: float) -> tuple[float, float]:
+        x = b * L
+        ax = abs(x)
+        if ax < 1e-2:
+            # g'(x) and g''(x) from tanh(x)/x = 1 - x^2/3 + 2x^4/15 - 17x^6/315 + O(x^8)
+            x2 = x * x
+            g1 = x * (-2.0 / 3.0 + 8.0 * x2 / 15.0 - 34.0 * x2 * x2 / 105.0)
+            g2 = -2.0 / 3.0 + 8.0 * x2 / 5.0 - 34.0 * x2 * x2 / 21.0
+        else:
+            e = math.exp(-2.0 * ax)
+            t = -math.expm1(-2.0 * ax) / (1.0 + e)   # tanh(|x|)
+            sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
+            g1 = math.copysign(1.0, x) * (sech2 * ax - t) / (ax * ax)
+            g2 = -2.0 * t * sech2 / ax - 2.0 * (sech2 * ax - t) / (ax * ax * ax)
+        # h = mu d/p, p = d + L g: h' = -h r p' and h'' = h r (2 r p'^2 - p''), r = 1/p = h/(mu d)
+        hb = float(h(b))
+        r, p1, p2 = hb / mud, L * L * g1, L * L * L * g2
+        return -hb * r * p1, hb * r * (2.0 * r * p1 * p1 - p2)
+
+    return replace(_half_plane(params), h=h, slopes=slopes,
+                   b_range=lambda c: (0.0, beta_kpp(c, params)), b_min=-math.inf, even=True)
 
 
 def strip_alpha_road(c: float, beta: float, L: float, params: ModelParams) -> float:
@@ -735,130 +765,75 @@ def strip_alpha_road(c: float, beta: float, L: float, params: ModelParams) -> fl
         raise DomainError(f"strip branch needs beta > 0, got {beta}")
     if L <= 0.0:
         raise DomainError(f"strip height must be positive, got {L}")
-    disc = _clamp_roundoff(float(_strip_disc(c, beta, L, params)), c * c)
-    if disc < 0.0:
-        raise DomainError(f"strip discriminant negative at (c={c}, beta={beta}, L={L})")
-    return float(_root(c, disc, 2.0 * params.D))
+    # h > 0, so the discriminant is at least c^2: no clamp, no domain edge
+    return float(_root(c, _road_disc(_strip(params, L), c, beta), 2.0 * params.D))
 
 
-def _strip_gap_values(c: float, beta, L: float, params: ModelParams):
-    """Strip road branch minus lower field branch, scalar or array b >= 0."""
-    a_road = _root(c, _strip_disc(c, beta, L, params), 2.0 * params.D)
-    return a_road - _lower_field_root(c, beta, params)
-
-
-def _strip_gap_and_argmax(c: float, L: float, params: ModelParams,
-                          coarse: bool = False) -> tuple[float, float]:
-    """max over b in (0, beta_kpp(c)] of (strip road branch - lower field branch).
-
-    The b=0 grid point uses the branch's finite one-sided limit, which is
-    what decides whether a root above c_KPP survives at this L.
-    """
-
-    return _max_gap(lambda b: _strip_gap_values(c, b, L, params), 0.0, beta_kpp(c, params), coarse)
-
-
-def _strip(params: ModelParams, L: float) -> _Tangency:
-    """The strip's tangency system, with the wall's exchange term h(b) = mu d/(d + L g(b L)).
-
-    g(x) = tanh(x)/x is even, so the strip gap is even in b and its max can
-    sit at b = 0, where the tangency condition holds identically; Newton
-    may end there, or cross it.  Near x = 0 g is its Taylor series.
-    """
-    mu, d = params.mu, params.d
-
-    def h(b: float) -> tuple[float, float, float]:
-        x = b * L
-        ax = abs(x)
-        if ax < 1e-2:
-            # tanh(x)/x = 1 - x^2/3 + 2x^4/15 - 17x^6/315 + O(x^8)
-            x2 = x * x
-            g = 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0 - 17.0 * x2 * x2 * x2 / 315.0
-            g1 = x * (-2.0 / 3.0 + 8.0 * x2 / 15.0 - 34.0 * x2 * x2 / 105.0)
-            g2 = -2.0 / 3.0 + 8.0 * x2 / 5.0 - 34.0 * x2 * x2 / 21.0
-        else:
-            e = math.exp(-2.0 * ax)
-            t = -math.expm1(-2.0 * ax) / (1.0 + e)   # tanh(|x|)
-            sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
-            g = t / ax
-            g1 = math.copysign(1.0, x) * (sech2 * ax - t) / (ax * ax)
-            g2 = -2.0 * t * sech2 / ax - 2.0 * (sech2 * ax - t) / (ax * ax * ax)
-        p, p1, p2 = d + L * g, L * L * g1, L * L * L * g2
-        return mu * d / p, -mu * d * p1 / (p * p), mu * d * (2.0 * p1 * p1 - p * p2) / (p * p * p)
-
-    return _Tangency(params.D, d, h, -math.inf, even=True)
-
-
-def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL) -> SpeedResult:
+def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL,
+                         full: SpeedResult | None = None) -> SpeedResult:
     """Critical speed of the strip-truncated system; below c* for large L.
 
     The sign change of the strip gap function on [c_KPP, c_hi], c_hi the
     certified upper end of c*'s bracket, where the gap is always positive
-    (the strip branch sits above the half-plane branch).  When L is too
-    small the gap is already nonnegative at c_KPP and no threshold above
-    c_KPP exists - that raises :class:`NoTangencyError`.  Solved like
-    :func:`critical_speed`: certified Newton on the strip's tangency system,
-    seeded from the coarse scan and from c*'s tangency point, else the
-    bisection midpoint.  The tangency can sit at b = 0 (low strips), where
-    the strip gap, even in b, peaks.  The bracket stays inside
-    (c_KPP, c_hi], but the threshold lies in (c_KPP, c*) only up to tol:
-    once c* - c_L (about e^{-2 beta L}) is below tol, the returned c_L can
-    exceed the returned c* by less than tol (D = 28, mu = 2, f'(0) = 5,
-    L = 24).
+    (the strip branch sits above the half-plane branch).  ``full`` is c*
+    at the same tol when the caller has solved it already; otherwise it is
+    solved here.  When L is too small the gap is already nonnegative at
+    c_KPP and no threshold above c_KPP exists - that raises
+    :class:`NoTangencyError`.  Solved like :func:`critical_speed`:
+    certified Newton on the strip's tangency system, seeded from the
+    coarse scan and from c*'s tangency point, else the bisection midpoint.
+    The tangency can sit at b = 0 (low strips), where the strip gap, even
+    in b, peaks.  The bracket stays inside (c_KPP, c_hi], but the threshold
+    lies in (c_KPP, c*) only up to tol: once c* - c_L (about e^{-2 beta L})
+    is below tol, the returned c_L can exceed the returned c* by less than
+    tol (D = 28, mu = 2, f'(0) = 5, L = 24).
     """
     _require_normalized(params)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if params.D <= 2.0 * params.d:
-        raise ValueError("strip threshold is defined for D > 2d only")
+        raise DomainError("strip threshold is defined for D > 2d only")
     if L <= 0.0:
         raise DomainError(f"strip height must be positive, got {L}")
-    return _strip_speed_below(critical_speed(params, tol), params, L, tol)
-
-
-def _strip_speed_below(full: SpeedResult, params: ModelParams, L: float, tol: float) -> SpeedResult:
-    """Strip threshold below an already solved half-plane ``full = c*``.
-
-    Callers that need both speeds solve c* once and pass it here.
-    """
+    if full is None:
+        full = critical_speed(params, tol)
+    system = _strip(params, L)
     ck = c_kpp(params)
     # the certified upper bracket end of c* has a positive half-plane gap,
     # and the strip gap dominates it, so it is a safe upper bracket even when
     # the strip threshold is within tol of c*
     c_hi = full.bracket[1]
-    g_lo, _ = _strip_gap_and_argmax(ck, L, params)
-    if g_lo >= 0.0:
+    if _gap_and_argmax(system, ck)[0] >= 0.0:
         raise NoTangencyError(
             f"strip of height L={L} is too small: its threshold does not exceed c_KPP"
         )
-    g_hi, _ = _strip_gap_and_argmax(c_hi, L, params)
-    if g_hi <= 0.0:
+    if _gap_and_argmax(system, c_hi)[0] <= 0.0:
         raise NoTangencyError(
             f"no sign change of the strip gap on (c_KPP, c*) at L={L}"
         )
-    return _tangent_speed(lambda c: _strip_gap_and_argmax(c, L, params)[0],
-                          lambda c, coarse=False: _strip_gap_and_argmax(c, L, params, coarse),
-                          _strip(params, L), ck, c_hi, tol, params, Branch.ROAD_STRIP_PLUS,
-                          seeds=((full.tangency.alpha, full.tangency.beta, full.c_star),))
+    seed = (full.tangency.alpha, full.tangency.beta, full.c_star)
+    return _super_threshold(*_tangent_speed(system, lambda c: _gap_and_argmax(system, c)[0], ck,
+                                            c_hi, tol, (seed,)),
+                            tol, params, Branch.ROAD_STRIP_PLUS)
 
 
 # --- large-D limit ----------------------------------------------------------------
 
 
-def _limit_gap_values(c: float, beta, params: ModelParams):
-    """Rescaled road branch (the D = 1 form) minus the field parabola, scalar or array b."""
-    d, fp0 = params.d, params.f_prime_0
-    return _root(c, _road_disc(c, beta, params.mu, d, 1.0), 2.0) - (fp0 + d * beta * beta) / c
+def _limit(params: ModelParams) -> _Tangency:
+    """The large-D limit's system: the half-plane's with road = 1 and field = 0.
 
+    Its b interval runs from the road curve's left end to where the
+    parabola passes the road's supremum (c + sqrt(c^2 + 4 mu))/2, beyond
+    which the gap is negative.
+    """
+    mu, d, fp0 = params.mu, params.d, params.f_prime_0
 
-def _limit_gap_and_argmax(c: float, params: ModelParams, coarse: bool = False) -> tuple[float, float]:
-    """max of (rescaled road branch - field parabola); the road is its D = 1 form."""
-    d, mu, fp0 = params.d, params.mu, params.f_prime_0
-    lo = -c * c / (d * (c * c + 4.0 * mu))
-    road_sup = float(_root(c, c * c + 4.0 * mu, 2.0))
-    hi_sq = (c * road_sup - fp0) / d
-    hi = math.sqrt(hi_sq) if hi_sq > 0.0 else 0.0
-    return _max_gap(lambda b: _limit_gap_values(c, b, params), lo, hi, coarse)
+    def b_range(c: float) -> tuple[float, float]:
+        road_sup = (c + math.sqrt(c * c + 4.0 * mu)) / 2.0
+        return -c * c / (d * (c * c + 4.0 * mu)), math.sqrt(max((c * road_sup - fp0) / d, 0.0))
+
+    return replace(_half_plane(params), road=1.0, field=0.0, ck2=0.0, b_range=b_range)
 
 
 def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
@@ -867,44 +842,22 @@ def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
     After rescaling c and the x-rate by sqrt(D), the field circle flattens
     into the parabola a = (f'(0) + d b^2)/c and the road curve becomes its
     D=1 form; the returned speed is the unique tangency of that pair.  It
-    is solved like :func:`critical_speed`: the Newton speed of the system
-    with the parabola as its field equation, seeded inside
-    [sqrt(low)/2, 2 sqrt(f'(0))] (see :func:`limit_bounds`) and certified
-    by a sign change of the limiting gap across a bracket of width <= tol
-    around it; when that fails, the gap's sign change is bracketed and
-    bisected to width tol and the midpoint returned.  D itself does not
-    enter.
+    is solved like :func:`critical_speed`, on the half-plane system with
+    road = 1 and field = 0: the Newton speed, seeded inside
+    [sqrt(low)/2, 2 sqrt(f'(0))] (see :func:`limit_bounds`; c^2 lies in
+    [low, f'(0)], so each end has a factor-2 margin) and certified by a
+    sign change of the limiting gap across a bracket of width <= tol
+    around it; when that fails, the gap's sign change is bisected on the
+    same interval to width tol and the midpoint returned.  D itself does
+    not enter.
     """
     _require_normalized(params)
     if tol <= 0:
         raise ValueError("tol must be positive")
-
-    def gap(c: float) -> float:
-        return _limit_gap_and_argmax(c, params)[0]
-
-    # c^2 lies in the proven window, so [sqrt(low)/2, 2 sqrt(f'(0))] holds the speed
+    system = _limit(params)
     lo_bound, _ = limit_bounds(params)
-    # the half-plane system with the road at D = 1 and the field's a^2 term dropped
-    system = replace(_half_plane(params), road=1.0, field=0.0)
-    newton = _newton_speed(gap, lambda c, coarse=False: _limit_gap_and_argmax(c, params, coarse),
-                           system, 0.5 * math.sqrt(lo_bound), 2.0 * math.sqrt(params.f_prime_0),
-                           tol, params)
-    if newton is not None:
-        return newton[0]
-    c_lo = 0.5 * math.sqrt(lo_bound)
-    for _ in range(200):
-        if gap(c_lo) < 0.0:
-            break
-        c_lo *= 0.5
-    else:
-        raise BracketError("could not find a speed below the limiting tangency")
-    c_hi = 2.0 * math.sqrt(params.f_prime_0)
-    while gap(c_hi) <= 0.0:
-        c_hi *= 2.0
-        if c_hi > 2.0**60:
-            raise BracketError("could not find a speed above the limiting tangency")
-    c_lo, c_hi = _bisect_gap(gap, c_lo, c_hi, tol)
-    return 0.5 * (c_lo + c_hi)
+    return _tangent_speed(system, lambda c: _gap_and_argmax(system, c)[0],
+                          0.5 * math.sqrt(lo_bound), 2.0 * math.sqrt(params.f_prime_0), tol)[0]
 
 
 def limit_bounds(params: ModelParams) -> tuple[float, float]:

@@ -66,7 +66,13 @@ def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, override):
     # the strip height comes only from --L, the reaction only from the config file
     ("strip", "--L", "10", "--set", "L=20"),
     ("speed", "--set", "reaction=logistic"),
-], ids=["bogus", "L", "reaction"])
+    # each verb takes only the knobs it reads
+    ("speed", "--set", "dx=0.1"),
+    ("limit", "--set", "t_end=5"),
+    ("validate", "--set", "tol=1e-3"),
+    ("strip", "--L", "20", "--set", "window_fraction=0.2"),
+], ids=["bogus", "L", "reaction", "speed-dx", "limit-t_end", "validate-tol",
+        "strip-window_fraction"])
 def test_unknown_set_key_rejected(tmp_path, argv):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 2
 

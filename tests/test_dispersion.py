@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -739,18 +740,70 @@ def _spread(lo, hi, shares):
 def test_each_gap_gives_a_float_b_the_bits_of_its_array_element(d, mu, fp0, ratio, u, L, shares):
     p = make(ratio * d, d=d, mu=mu, fp0=fp0)
     c = rf.c_kpp(p) * (1.0 + u)
-    lo = max(rf.beta_D(c, p), -rf.beta_kpp(c, p))
-    hi = rf.beta_kpp(c, p)
-    _float_and_array_agree(lambda b: dispersion._gap_values(c, b, p), _spread(lo, hi, shares))
+    half_plane, strip, limit = dispersion._half_plane(p), dispersion._strip(p, L), dispersion._limit(p)
+    lo, hi = half_plane.b_range(c)
+    _float_and_array_agree(lambda b: dispersion._gap(half_plane, c, b), _spread(lo, hi, shares))
     for rs in (1.0, -1.0):
         for fs in (1.0, -1.0):
-            _float_and_array_agree(lambda b: dispersion._branch_diff(c, b, p, rs, fs),
+            _float_and_array_agree(lambda b: dispersion._branch_diff(half_plane, c, b, rs, fs),
                                    _spread(lo, hi, shares))
-    _float_and_array_agree(lambda b: dispersion._strip_gap_values(c, b, L, p),
-                           _spread(0.0, hi, shares))
-    # the limit's rescaled speed lies in [sqrt(low)/2, 2 sqrt(f'(0))]; its b
-    # interval runs from the road curve's left end to the parabola's reach
+    # the strip gap is even in b; Newton may cross b = 0
+    _float_and_array_agree(lambda b: dispersion._gap(strip, c, b), _spread(-hi, hi, shares))
+    # the limit's rescaled speed lies in [sqrt(low)/2, 2 sqrt(f'(0))]
     c_lim = (0.5 + 1.5 * u / 3.0) * math.sqrt(fp0)
-    b_lim = -c_lim * c_lim / (d * (c_lim * c_lim + 4.0 * mu))
-    _float_and_array_agree(lambda b: dispersion._limit_gap_values(c_lim, b, p),
-                           _spread(b_lim, 2.0 * c_lim / d, shares))
+    _float_and_array_agree(lambda b: dispersion._gap(limit, c_lim, b),
+                           _spread(*limit.b_range(c_lim), shares))
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=_coeff, mu=_coeff, fp0=_coeff, ratio=_super_wide, u=st.floats(1e-6, 3.0),
+       L=st.floats(0.5, 30.0), share=st.floats(0.01, 0.99))
+def test_public_road_branches_are_the_root_the_gap_uses(d, mu, fp0, ratio, u, L, share):
+    # alpha_road and strip_alpha_road are the upper road root of the gap's
+    # system, bit for bit, away from the clamped edge of the road curve
+    p = make(ratio * d, d=d, mu=mu, fp0=fp0)
+    c = rf.c_kpp(p) * (1.0 + u)
+    for system, alpha in ((dispersion._half_plane(p), lambda b: rf.alpha_road(c, b, p, "+")),
+                          (dispersion._strip(p, L), lambda b: rf.strip_alpha_road(c, b, L, p))):
+        lo, hi = dispersion._half_plane(p).b_range(c)
+        b = max(lo, 0.0) + share * (hi - max(lo, 0.0))
+        if b <= 0.0:
+            continue
+        root = dispersion._root(c, dispersion._road_disc(system, c, b), 2.0 * system.road)
+        assert np.float64(alpha(b)).tobytes() == np.float64(root).tobytes()
+
+
+def test_fallback_runs_on_a_real_input(monkeypatch):
+    # just above D = 2d the tangency sits at c_KPP + 4e-9, where Newton does
+    # not certify; the bisection must, on the bracket Newton was seeded in
+    p = rf.ModelParams(D=2.000000002, d=1.0, mu=1.0, nu=1.0, f_prime_0=0.5)
+    bisect = dispersion._bisect_gap
+    fallbacks = []
+
+    def spy(gap, lo, hi, tol):
+        if tol != dispersion.SEED_SHARE * (hi - lo):
+            fallbacks.append((lo, hi, tol))
+        return bisect(gap, lo, hi, tol)
+
+    monkeypatch.setattr(dispersion, "_bisect_gap", spy)
+    res = rf.critical_speed(p)
+    assert len(fallbacks) == 1 and fallbacks[0][0] == rf.c_kpp(p)
+    lo, hi = res.bracket
+    assert hi - lo <= res.tol and res.c_star == 0.5 * (lo + hi)
+    assert rf.curve_gap(lo, p) <= 0.0 < rf.curve_gap(hi, p)
+
+
+# sha256 of (c*, its bracket, limit_speed) as float.hex over 40 seeded sets,
+# D/d log-uniform in [0.3, 1e5]: published numbers must not drift silently
+PUBLISHED_SHA256 = "6d6062d40313798d25e7baeb1b0578446bc8404cac2163f81c7cdb46fd2fc92c"
+
+
+def test_published_speeds_keep_their_bits():
+    rng = np.random.default_rng(2011)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        d, mu, fp0 = (float(x) for x in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3)))
+        p = make(d * math.exp(rng.uniform(math.log(0.3), math.log(1e5))), d=d, mu=mu, fp0=fp0)
+        res = rf.critical_speed(p)
+        digest.update(" ".join(x.hex() for x in (res.c_star, *res.bracket, rf.limit_speed(p))).encode())
+    assert digest.hexdigest() == PUBLISHED_SHA256
