@@ -10,9 +10,12 @@ Verbs
 
 Parameters come from a flat key=value config file (keys D, d, mu, nu, fp0,
 reaction), modified by ``--set key=value`` overrides applied last; presets
-sit between the two.  Every command is deterministic given its inputs and
-rewrites its output files identically; numbers are printed with 17
-significant digits so outputs diff bit-exactly.
+sit between the two.  ``--set`` also sets the verb's knobs, whose types,
+defaults and admissible intervals are the one table ``_VERB_KNOBS``; a
+value outside its interval is a ConfigError (exit 2) before any output.
+Every command is deterministic given its inputs and rewrites its output
+files identically; numbers are printed with 17 significant digits so
+outputs diff bit-exactly.
 """
 
 from __future__ import annotations
@@ -27,85 +30,117 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dispersion, simulate
-from .errors import BlowUpError, CflViolationError, RoadFieldError, ConfigError
+from .errors import BlowUpError, ConfigError, RoadFieldError
 from .params import (
     CONFIG_KEYS,
     ModelParams,
+    _config_params,
+    _config_value,
+    _read_config,
+    _read_pairs,
     c_kpp,
     check_kpp,
     normalize_nu,
-    parse_config_file,
-    parse_config_text,
 )
 from .simulate import _csv_lines, _fmt, _write_csv
 
 __all__ = ["main", "validate_suites", "SuiteResult", "PRESETS", "Preset"]
 
-_PARAM_SET_KEYS = dict.fromkeys(("D", "d", "mu", "nu", "fp0"), float)
-_SOLVER_KNOBS = {"tol": float}
-# the --set knobs each verb reads, with their types; any other knob is an error
+
+@dataclass(frozen=True)
+class _Knob:
+    """A ``--set`` knob: its type, its default and the interval of its admissible values.
+
+    A default of None is set by a preset or derived by the verb.  Every
+    interval excludes nan and +-inf.
+    """
+
+    kind: type
+    default: float | int | None
+    admits: str
+
+    def parse(self, key: str, val: str, where: str) -> float | int:
+        try:
+            value = self.kind(val)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad {self.kind.__name__} for {key}: {val!r}") from exc
+        _admit(f"{where}: {key}", value, self.admits)
+        return value
+
+
+def _admit(what: str, value: float, interval: str) -> None:
+    """Raise ConfigError unless value lies in an interval such as "(0, 1]" or "[1, inf)"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if not ((lo < value or interval[0] == "[" and value == lo)
+            and (value < hi or interval[-1] == "]" and value == hi)):
+        raise ConfigError(f"{what} must lie in {interval}, got {value}")
+
+
+_TOL = _Knob(float, dispersion.DEFAULT_TOL, "(0, inf)")
+_VALIDATE = {"safety": _Knob(float, 0.4, "(0, inf)"),   # above 1 on purpose: see validate_suites
+             "seeds": _Knob(int, 20, "[1, inf)"),
+             "steps": _Knob(int, 200, "[1, inf)")}
+# the --set knobs each verb reads; any other knob is an error
 _VERB_KNOBS = {
-    "speed": _SOLVER_KNOBS,
-    "sweep": _SOLVER_KNOBS,
-    "strip": _SOLVER_KNOBS,
-    "limit": _SOLVER_KNOBS,
-    "simulate": {**_SOLVER_KNOBS, "snapshot_every": int, **dict.fromkeys(
-        ("t_end", "dx", "dy", "x_min", "x_max", "y_max", "safety", "threshold", "window_fraction"),
-        float)},
-    "validate": {"safety": float, "seeds": int, "steps": int},
+    **dict.fromkeys(("speed", "sweep", "strip", "limit"), {"tol": _TOL}),
+    "simulate": {
+        "tol": _TOL,
+        "t_end": _Knob(float, None, "[0, inf)"),
+        **dict.fromkeys(("dx", "dy", "y_max"), _Knob(float, None, "(0, inf)")),
+        **dict.fromkeys(("x_min", "x_max"), _Knob(float, None, "(-inf, inf)")),
+        "safety": _Knob(float, 0.4, "(0, 1]"),
+        "snapshot_every": _Knob(int, None, "[1, inf)"),
+        "threshold": _Knob(float, None, "(0, inf)"),   # None: half the road equilibrium nu/mu
+        "window_fraction": _Knob(float, 0.5, "(0, 1]"),
+    },
+    "validate": _VALIDATE,
 }
 
 
-def _parse_set_overrides(pairs: list[str], verb: str) -> dict:
-    types = {**_PARAM_SET_KEYS, **_VERB_KNOBS[verb]}
-    out: dict = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, val = pair.partition("=")
-        key, val = key.strip(), val.strip()
-        kind = types.get(key)
-        if kind is None:
-            raise ConfigError(f"--set: unknown key {key!r} for {verb}; it reads {', '.join(types)}")
-        try:
-            out[key] = kind(val)
-        except ValueError as exc:
-            noun = "number" if kind is float else "integer"
-            raise ConfigError(f"--set {key}: bad {noun} {val!r}") from exc
-    return out
-
-
-def _load_params(args, preset_overrides: dict | None = None) -> tuple[ModelParams, dict]:
-    """Resolve parameters: defaults < config file < preset < --set overrides.
-
-    Returns the ModelParams plus the non-parameter knobs from --set.
-    """
-    params = parse_config_file(args.config) if args.config is not None else parse_config_text("")
-    values = {"D": params.D, "d": params.d, "mu": params.mu,
-              "nu": params.nu, "fp0": params.f_prime_0}
-    if preset_overrides:
-        values.update({k: v for k, v in preset_overrides.items() if k in values})
-    knobs = _parse_set_overrides(args.set or [], args.verb)
-    for key in CONFIG_KEYS:
-        if key in knobs:
-            values[key] = knobs.pop(key)
+def _config_file(path: Path | None) -> dict:
+    """The parameter values of a --config file, by key."""
+    if path is None:
+        return {}
     try:
-        params = ModelParams(D=values["D"], d=values["d"], mu=values["mu"],
-                             nu=values["nu"], f_prime_0=values["fp0"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return params, knobs
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read --config {path}: {exc}") from exc
+    return _read_config(text)
+
+
+def _resolve(args, preset: dict | None = None) -> tuple[ModelParams, dict]:
+    """The parameters and the knobs of one call: defaults < --config < preset < --set.
+
+    Config lines and ``--set`` pairs go through the one key=value reader of
+    :mod:`params`; a config holds parameters only, ``--set`` also the verb's
+    knobs.  Returns the ModelParams and every knob of the verb by name.
+    """
+    knobs = _VERB_KNOBS[args.verb]
+
+    def set_value(key: str, val: str, where: str):
+        if key in knobs:
+            return knobs[key].parse(key, val, where)
+        if key in CONFIG_KEYS and key != "reaction":
+            return _config_value(key, val, where)
+        keys = [k for k in CONFIG_KEYS if k != "reaction"] + list(knobs)
+        raise ConfigError(f"{where}: unknown key {key!r} for {args.verb}; it reads {', '.join(keys)}")
+
+    values = {name: knob.default for name, knob in knobs.items()}
+    values |= _config_file(args.config)
+    values |= preset or {}
+    values |= _read_pairs((("--set", pair) for pair in args.set), set_value)
+    return _config_params(values), {name: values[name] for name in knobs}
+
+
+def _in_original_time(res: dispersion.SpeedResult, nu: float) -> dispersion.SpeedResult:
+    """A speed of the nu-normalised system in the original time scale: nu times it."""
+    return replace(res, c_star=nu * res.c_star,
+                   bracket=(nu * res.bracket[0], nu * res.bracket[1]), tol=nu * res.tol)
 
 
 def _physical_speed(params: ModelParams, tol: float) -> dispersion.SpeedResult:
     """critical_speed on the nu-normalised system, rescaled to original time."""
-    norm = normalize_nu(params)
-    res = dispersion.critical_speed(norm, tol)
-    if params.nu == 1.0:
-        return res
-    nu = params.nu
-    return replace(res, c_star=nu * res.c_star,
-                   bracket=(nu * res.bracket[0], nu * res.bracket[1]), tol=nu * res.tol)
+    return _in_original_time(dispersion.critical_speed(normalize_nu(params), tol), params.nu)
 
 
 def _out_path(args, name: str) -> Path:
@@ -132,27 +167,28 @@ def _speed_row(params: ModelParams, res: dispersion.SpeedResult) -> list:
 
 
 def cmd_speed(args) -> int:
-    params, knobs = _load_params(args)
-    tol = knobs.get("tol", dispersion.DEFAULT_TOL)
-    _emit(args, "speed.csv", _SPEED_HEADER, [_speed_row(params, _physical_speed(params, tol))])
+    params, knobs = _resolve(args)
+    _emit(args, "speed.csv", _SPEED_HEADER,
+          [_speed_row(params, _physical_speed(params, knobs["tol"]))])
     return 0
 
 
 def cmd_sweep(args) -> int:
-    params, knobs = _load_params(args)
-    tol = knobs.get("tol", dispersion.DEFAULT_TOL)
+    params, knobs = _resolve(args)
     try:
         d_list = [float(v) for v in args.D_list.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --D-list {args.D_list!r}") from exc
     if not d_list:
         raise ConfigError("--D-list is empty")
+    for D in d_list:
+        _admit("--D-list", D, "(0, inf)")
     if sorted(d_list) != d_list:
         raise ConfigError("--D-list must be sorted ascending")
 
     def one(D: float) -> list:
         p = replace(params, D=D)
-        res = _physical_speed(p, tol)
+        res = _physical_speed(p, knobs["tol"])
         return _speed_row(p, res) + [res.c_star / math.sqrt(D)]
 
     _emit(args, "sweep.csv", _SPEED_HEADER + ",c_star_over_sqrtD", [one(D) for D in d_list])
@@ -160,26 +196,24 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_strip(args) -> int:
-    params, knobs = _load_params(args)
-    tol = knobs.get("tol", dispersion.DEFAULT_TOL)
-    L = args.L
+    params, knobs = _resolve(args)
+    L, tol = args.L, knobs["tol"]
     if L is None:
         raise ConfigError("strip needs --L <height>")
+    _admit("--L", L, "(0, inf)")
     norm = normalize_nu(params)
     full = dispersion.critical_speed(norm, tol)
     strip = dispersion.strip_critical_speed(norm, L, tol, full=full)
-    nu = params.nu
     _emit(args, "strip.csv", "D,d,mu,fp0,L,c_kpp,c_star_L,c_star",
-          [[params.D, params.d, params.mu, params.f_prime_0,
-            L, c_kpp(params), nu * strip.c_star, nu * full.c_star]])
+          [[params.D, params.d, params.mu, params.f_prime_0, L, c_kpp(params),
+            *(_in_original_time(res, params.nu).c_star for res in (strip, full))]])
     return 0
 
 
 def cmd_limit(args) -> int:
-    params, knobs = _load_params(args)
-    tol = knobs.get("tol", dispersion.DEFAULT_TOL)
+    params, knobs = _resolve(args)
     norm = normalize_nu(params)
-    c_inf = dispersion.limit_speed(norm, tol)
+    c_inf = dispersion.limit_speed(norm, knobs["tol"])
     lo, hi = dispersion.limit_bounds(norm)
     _emit(args, "limit.csv", "d,mu,fp0,c_limit,c_limit_sq,low_bound,high_bound",
           [[norm.d, norm.mu, norm.f_prime_0, c_inf, c_inf * c_inf, lo, hi]])
@@ -191,28 +225,22 @@ def cmd_limit(args) -> int:
 
 @dataclass(frozen=True)
 class Preset:
-    """A named, fully specified simulation experiment."""
+    """A simulation experiment: defaults for D and simulate's knobs, and how it runs.
 
-    name: str
-    D: float
-    t_end: float
-    dx: float
-    dy: float
-    y_max: float
-    x_min: float | None = None   # None: sized from the predicted speed
-    x_max: float | None = None
+    Without x_min and x_max the domain is sized from the predicted speed.
+    """
+
+    defaults: dict
     reaction_off: bool = False
     snapshot_dt: float = 0.5
 
 
 PRESETS = {
-    "conservation": Preset(name="conservation", D=1.0, t_end=5.0, dx=0.1, dy=0.1,
-                           y_max=20.0, x_min=-40.0, x_max=40.0, reaction_off=True,
-                           snapshot_dt=0.1),
-    "kpp": Preset(name="kpp", D=1.0, t_end=100.0, dx=0.25, dy=0.25, y_max=30.0,
-                  x_min=-300.0, x_max=300.0),
-    "enhanced": Preset(name="enhanced", D=10.0, t_end=100.0, dx=0.25, dy=0.25,
-                       y_max=30.0),
+    "conservation": Preset(dict(D=1.0, t_end=5.0, dx=0.1, dy=0.1, y_max=20.0,
+                                x_min=-40.0, x_max=40.0), reaction_off=True, snapshot_dt=0.1),
+    "kpp": Preset(dict(D=1.0, t_end=100.0, dx=0.25, dy=0.25, y_max=30.0,
+                       x_min=-300.0, x_max=300.0)),
+    "enhanced": Preset(dict(D=10.0, t_end=100.0, dx=0.25, dy=0.25, y_max=30.0)),
 }
 
 
@@ -223,44 +251,30 @@ def _sized_extent(c_guess: float, t_end: float, dx: float) -> float:
 
 
 def cmd_simulate(args) -> int:
-    preset = PRESETS.get(args.preset)
-    if preset is None:
-        raise ConfigError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-    params, knobs = _load_params(args, preset_overrides={"D": preset.D})
-    tol = knobs.get("tol", dispersion.DEFAULT_TOL)
-    t_end = knobs.get("t_end", preset.t_end)
-    dx = knobs.get("dx", preset.dx)
-    dy = knobs.get("dy", preset.dy)
-    y_max = knobs.get("y_max", preset.y_max)
-    safety = knobs.get("safety", 0.4)
-
-    prediction = _physical_speed(params, tol)
-    if preset.x_min is None or preset.x_max is None:
+    preset = PRESETS[args.preset]
+    params, knobs = _resolve(args, preset.defaults)
+    t_end, dx, x_min, x_max = knobs["t_end"], knobs["dx"], knobs["x_min"], knobs["x_max"]
+    prediction = _physical_speed(params, knobs["tol"])
+    if x_min is None or x_max is None:
         half = _sized_extent(prediction.c_star, t_end, dx)
-        x_min, x_max = -half, half
-    else:
-        x_min, x_max = preset.x_min, preset.x_max
-    x_min = knobs.get("x_min", x_min)
-    x_max = knobs.get("x_max", x_max)
-
-    grid = simulate.build_grid(x_min, x_max, y_max, dx, dy, params, safety)
-    snapshot_every = knobs.get("snapshot_every",
-                               max(1, int(round(preset.snapshot_dt / grid.dt))))
-    datum = simulate.InitialDatum.compact_bump()
-    reaction = None if preset.reaction_off else params.reaction
-
+        x_min = -half if x_min is None else x_min
+        x_max = half if x_max is None else x_max
+    try:
+        grid = simulate.build_grid(x_min, x_max, knobs["y_max"], dx, knobs["dy"], params,
+                                   knobs["safety"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    snapshot_every = knobs["snapshot_every"] or max(1, int(round(preset.snapshot_dt / grid.dt)))
     substeps = simulate.road_substeps(grid, params)
-    print(f"# preset={preset.name} grid {grid.nx}x{grid.ny} dt={_fmt(grid.dt)} "
+    print(f"# preset={args.preset} grid {grid.nx}x{grid.ny} dt={_fmt(grid.dt)} "
           f"steps={simulate._step_count(t_end, grid.dt)} road_substeps={substeps} "
           f"field_dt={_fmt(substeps * grid.dt)}")
     print(f"# dispersion prediction: c_kpp={_fmt(c_kpp(params))} "
           f"c_star={_fmt(prediction.c_star)} ({prediction.regime.value})")
-    try:
-        record = simulate.run(params, grid, datum, t_end,
-                              snapshot_every=snapshot_every, reaction=reaction)
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # a blow-up is reported by main, as every other failed computation
+    record = simulate.run(params, grid, simulate.InitialDatum.compact_bump(), t_end,
+                          snapshot_every=snapshot_every,
+                          reaction=None if preset.reaction_off else params.reaction)
 
     simulate.write_mass_csv(record, _out_path(args, "mass.csv"))
     drift = abs(record.mass[-1] - record.mass[0]) / max(record.mass[0], 1e-300)
@@ -269,10 +283,10 @@ def cmd_simulate(args) -> int:
     if preset.reaction_off:
         # pure-exchange run: no front to measure
         return 0
-    series = analysis.front_series(record, grid, analysis.Channel.ROAD,
-                                   threshold=knobs.get("threshold", 0.5 * params.nu / params.mu))
+    threshold = knobs["threshold"] or 0.5 * params.nu / params.mu
+    series = analysis.front_series(record, grid, analysis.Channel.ROAD, threshold=threshold)
     analysis.write_front_series_csv(series, _out_path(args, "fronts.csv"))
-    est = analysis.fit_speed(series, knobs.get("window_fraction", 0.5))
+    est = analysis.fit_speed(series, knobs["window_fraction"])
     analysis.write_speed_estimate_csv(est, _out_path(args, "speed.csv"))
     rel = abs(est.speed - prediction.c_star) / prediction.c_star
     print(f"# measured road-front speed: {_fmt(est.speed)} "
@@ -315,9 +329,9 @@ def _steady_t_end(params: ModelParams) -> float:
 def validate_suites(
     params: ModelParams,
     *,
-    safety: float = 0.4,
-    seeds: int = 20,
-    steps: int = 200,
+    safety: float = _VALIDATE["safety"].default,
+    seeds: int = _VALIDATE["seeds"].default,
+    steps: int = _VALIDATE["steps"].default,
 ) -> list[SuiteResult]:
     """Property suites: KPP class, equilibria, conservation, ordering, CFL, steady state.
 
@@ -399,13 +413,8 @@ def validate_suites(
 
 
 def cmd_validate(args) -> int:
-    params, knobs = _load_params(args)
-    results = validate_suites(
-        params,
-        safety=knobs.get("safety", 0.4),
-        seeds=knobs.get("seeds", 20),
-        steps=knobs.get("steps", 200),
-    )
+    params, knobs = _resolve(args)
+    results = validate_suites(params, **knobs)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.suite}: value={_fmt(r.value)} limit={_fmt(r.limit)} {r.note}")

@@ -542,7 +542,7 @@ def _tangent_speed(system: _Tangency, gap: Callable[[float], float], lo: float, 
         return newton
     lo, hi = _bisect_gap(gap, lo, hi, tol)
     c = 0.5 * (lo + hi)
-    return c, _gap_and_argmax(system, c)[1], (lo, hi)
+    return c, float(_gap_and_argmax(system, c)[1]), (lo, hi)
 
 
 def _super_threshold(c: float, b: float, bracket: tuple[float, float], tol: float,
@@ -570,7 +570,7 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
     branch there.
     """
     _require_normalized(params)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     ck = c_kpp(params)
     if params.D <= 2.0 * params.d:
@@ -763,8 +763,8 @@ def strip_alpha_road(c: float, beta: float, L: float, params: ModelParams) -> fl
     _require_normalized(params)
     if beta <= 0.0:
         raise DomainError(f"strip branch needs beta > 0, got {beta}")
-    if L <= 0.0:
-        raise DomainError(f"strip height must be positive, got {L}")
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"strip height must be positive and finite, got {L}")
     # h > 0, so the discriminant is at least c^2: no clamp, no domain edge
     return float(_root(c, _road_disc(_strip(params, L), c, beta), 2.0 * params.D))
 
@@ -789,12 +789,12 @@ def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL
     tol (D = 28, mu = 2, f'(0) = 5, L = 24).
     """
     _require_normalized(params)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if params.D <= 2.0 * params.d:
         raise DomainError("strip threshold is defined for D > 2d only")
-    if L <= 0.0:
-        raise DomainError(f"strip height must be positive, got {L}")
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"strip height must be positive and finite, got {L}")
     if full is None:
         full = critical_speed(params, tol)
     system = _strip(params, L)
@@ -852,7 +852,7 @@ def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
     not enter.
     """
     _require_normalized(params)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     system = _limit(params)
     lo_bound, _ = limit_bounds(params)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -199,39 +199,55 @@ CONFIG_KEYS = ("D", "d", "mu", "nu", "fp0", "reaction")
 _DEFAULTS = {"D": 1.0, "d": 1.0, "mu": 1.0, "nu": 1.0, "fp0": 1.0, "reaction": "logistic"}
 
 
-def parse_config_text(text: str) -> ModelParams:
-    """Parse a flat ``key=value`` parameter config.
+def _read_pairs(items: Iterable[tuple[str, str]], convert: Callable) -> dict:
+    """Values of ``key=value`` items, a later key overriding an earlier one.
 
-    Recognised keys: D, d, mu, nu, fp0, reaction (logistic|custom).  Blank
-    lines and ``#`` comments are ignored.  Unknown keys are errors, as is
-    ``reaction=custom`` (code cannot be carried in a text config; build a
-    custom :class:`ReactionFunction` through the API instead).
+    ``items`` are (where, text) pairs; ``where`` ("line 3", "--set") opens
+    every error message.  Text after ``#`` is a comment and blank items are
+    skipped.  ``convert(key, value, where)`` types each value and raises
+    :class:`ConfigError` for an unknown key or a bad value.
     """
-    values = dict(_DEFAULTS)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    values = {}
+    for where, raw in items:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{where}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key == "reaction":
-            if val == "custom":
-                raise ConfigError(
-                    "reaction=custom is not expressible in a text config; "
-                    "construct a ReactionFunction via the API"
-                )
-            if val != "logistic":
-                raise ConfigError(f"line {lineno}: unknown reaction {val!r}")
-            values[key] = val
-        else:
-            try:
-                values[key] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad number for {key}: {val!r}") from exc
+        key = key.strip()
+        values[key] = convert(key, val.strip(), where)
+    return values
+
+
+def _config_value(key: str, val: str, where: str) -> float | str:
+    """A parameter's value: a float, or the reaction's name (logistic only)."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if key != "reaction":
+        try:
+            return float(val)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad number for {key}: {val!r}") from exc
+    if val == "custom":
+        raise ConfigError(
+            "reaction=custom is not expressible in a text config; "
+            "construct a ReactionFunction via the API"
+        )
+    if val != "logistic":
+        raise ConfigError(f"{where}: unknown reaction {val!r}")
+    return val
+
+
+def _read_config(text: str) -> dict:
+    """The parameter values a config text sets, by key."""
+    return _read_pairs(((f"line {n}", raw) for n, raw in enumerate(text.splitlines(), start=1)),
+                       _config_value)
+
+
+def _config_params(values: dict) -> ModelParams:
+    """ModelParams from parameter values by config key, defaults filled in; other keys are ignored."""
+    values = {**_DEFAULTS, **values}
     try:
         return ModelParams(
             D=values["D"],
@@ -242,6 +258,17 @@ def parse_config_text(text: str) -> ModelParams:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def parse_config_text(text: str) -> ModelParams:
+    """Parse a flat ``key=value`` parameter config.
+
+    Recognised keys: D, d, mu, nu, fp0, reaction (logistic|custom).  Blank
+    lines and ``#`` comments are ignored.  Unknown keys are errors, as is
+    ``reaction=custom`` (code cannot be carried in a text config; build a
+    custom :class:`ReactionFunction` through the API instead).
+    """
+    return _config_params(_read_config(text))
 
 
 def parse_config_file(path) -> ModelParams:

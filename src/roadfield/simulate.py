@@ -79,8 +79,6 @@ __all__ = [
     "run",
     "total_mass",
     "write_mass_csv",
-    "write_road_profiles_csv",
-    "write_field_trace_csv",
 ]
 
 # sentinel: "use params.reaction"; pass reaction=None to integrate with f == 0
@@ -579,14 +577,3 @@ def _write_csv(path, header: str, rows: Iterable[Iterable]) -> None:
 def write_mass_csv(record: RunRecord, path) -> None:
     _write_csv(path, "t,mass", zip(record.times, record.mass))
 
-
-def write_road_profiles_csv(record: RunRecord, grid: Grid, path) -> None:
-    x = grid.x()
-    _write_csv(path, "t,x,u",
-               ((t, xi, ui) for t, u in record.road_profile_snapshots for xi, ui in zip(x, u)))
-
-
-def write_field_trace_csv(record: RunRecord, grid: Grid, path) -> None:
-    x = grid.x()
-    _write_csv(path, "t,x,v0",
-               ((t, xi, vi) for t, v0 in record.field_trace_snapshots for xi, vi in zip(x, v0)))

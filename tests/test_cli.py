@@ -77,6 +77,50 @@ def test_unknown_set_key_rejected(tmp_path, argv):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 2
 
 
+_KPP_TINY = ("simulate", "--preset", "kpp", "--set", "t_end=1", "--set", "x_min=-10",
+             "--set", "x_max=10", "--set", "y_max=4", "--set", "dx=0.5", "--set", "dy=0.5")
+# each of these once printed a wrong number, passed vacuously or ended in a traceback
+BAD_VALUES = {
+    "speed-tol-nan": ("speed", "--set", "D=4", "--set", "tol=nan"),
+    "strip-tol-nan": ("strip", "--set", "D=4", "--L", "20", "--set", "tol=nan"),
+    "limit-tol-nan": ("limit", "--set", "tol=nan"),
+    "strip-L-nan": ("strip", "--set", "D=4", "--L", "nan"),
+    "strip-L-inf": ("strip", "--set", "D=4", "--L", "inf"),
+    "speed-tol-0": ("speed", "--set", "tol=0"),
+    "limit-tol-neg": ("limit", "--set", "tol=-1"),
+    "sweep-nan": ("sweep", "--D-list", "4,nan"),
+    "sweep-zero": ("sweep", "--D-list", "0,4"),
+    "missing-config": ("speed", "--config", "MISSING"),
+    "safety-0": ("simulate", "--preset", "kpp", "--set", "safety=0"),
+    "snapshot_every-0": ("simulate", "--preset", "kpp", "--set", "snapshot_every=0"),
+    "t_end-nan": ("simulate", "--preset", "kpp", "--set", "t_end=nan"),
+    "dx-0": ("simulate", "--preset", "kpp", "--set", "dx=0"),
+    "dx-not-dividing": ("simulate", "--preset", "kpp", "--set", "dx=0.7"),
+    "x-reversed": ("simulate", "--preset", "kpp", "--set", "x_min=5", "--set", "x_max=-5"),
+    "window_fraction-0": (*_KPP_TINY, "--set", "window_fraction=0"),
+    "seeds-0": ("validate", "--set", "seeds=0"),
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
+def test_a_bad_value_is_a_config_error_before_any_output(tmp_path, capsys, argv):
+    out_dir = tmp_path / "fresh"
+    argv = [str(tmp_path / "missing.cfg") if a == "MISSING" else a for a in argv]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out_dir.exists()
+
+
+def test_a_preset_sits_between_the_config_and_set(tmp_path, capsys):
+    cfg = write_config(tmp_path, "D=4\nmu=2\n")
+    tiny = ["simulate", "--preset", "conservation", "--config", str(cfg), "--set", "t_end=0.01",
+            "--set", "x_min=-5", "--set", "x_max=5", "--set", "y_max=3"]
+    assert main([*tiny, "--out-dir", str(tmp_path / "a")]) == 0
+    assert "(SubThreshold)" in capsys.readouterr().out   # the preset's D = 1 wins over the config
+    assert main([*tiny, "--set", "D=4", "--out-dir", str(tmp_path / "b")]) == 0
+    assert "(SuperThreshold)" in capsys.readouterr().out
+
+
 def test_the_cached_parser_carries_no_option_into_the_next_call(tmp_path):
     # the parser is built once per process; every call must still see only
     # its own argv, so a bare call after overrides writes the default row

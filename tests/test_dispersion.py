@@ -227,12 +227,15 @@ def test_critical_speed_large_D_brackets_high_precision_reference():
 
 
 @pytest.mark.parametrize("solve", [
-    lambda p, tol: rf.critical_speed(p, tol).bracket,
-    lambda p, tol: rf.strip_critical_speed(p, 20.0, tol).bracket,
+    lambda p, tol: rf.critical_speed(p, tol),
+    lambda p, tol: rf.strip_critical_speed(p, 20.0, tol),
 ])
 def test_tiny_tol_ends_at_adjacent_floats(solve):
-    lo, hi = solve(make(4.0), 1e-300)
+    res = solve(make(4.0), 1e-300)
+    lo, hi = res.bracket
     assert lo < hi and np.nextafter(lo, math.inf) == hi
+    # the fallback's tangency holds plain floats, as Newton's does
+    assert type(res.tangency.beta) is float and type(res.tangency.alpha) is float
 
 
 def test_limit_speed_tiny_tol_ends_at_float_resolution():
@@ -445,8 +448,21 @@ def test_strip_branch_domain_errors():
         rf.strip_alpha_road(2.5, 0.0, 10.0, p)
     with pytest.raises(DomainError):
         rf.strip_alpha_road(2.5, -0.5, 10.0, p)
-    with pytest.raises(DomainError):
-        rf.strip_alpha_road(2.5, 0.5, 0.0, p)
+    for L in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            rf.strip_alpha_road(2.5, 0.5, L, p)
+        with pytest.raises(DomainError):
+            rf.strip_critical_speed(p, L)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("solve", [rf.critical_speed, rf.limit_speed,
+                                   lambda p, tol: rf.strip_critical_speed(p, 20.0, tol)],
+                         ids=["critical_speed", "limit_speed", "strip_critical_speed"])
+def test_solvers_reject_a_tol_that_is_not_positive(solve, tol):
+    # a nan tol used to pass the tol <= 0 test and return the first midpoint
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve(make(4.0), tol)
 
 
 def test_strip_speed_ladder_increases_below_c_star():

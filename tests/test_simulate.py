@@ -773,7 +773,7 @@ def test_batched_step_shape_mismatch(u_shape, v_shape):
 def test_csv_writers_round_trip(tmp_path):
     g = small_grid()
     rec = rf.run(P1, g, rf.InitialDatum.compact_bump(), t_end=0.2, snapshot_every=4)
-    from roadfield.simulate import write_field_trace_csv, write_mass_csv, write_road_profiles_csv
+    from roadfield.simulate import write_mass_csv
 
     mass_path = tmp_path / "mass.csv"
     write_mass_csv(rec, mass_path)
@@ -783,15 +783,3 @@ def test_csv_writers_round_trip(tmp_path):
     # 17 significant digits round-trip exactly
     assert float(t0) == rec.times[0] and float(m0) == rec.mass[0]
 
-    road_path = tmp_path / "road.csv"
-    write_road_profiles_csv(rec, g, road_path)
-    lines = road_path.read_text().splitlines()
-    assert lines[0] == "t,x,u"
-    assert len(lines) == 1 + len(rec.times) * g.nx
-
-    trace_path = tmp_path / "trace.csv"
-    write_field_trace_csv(rec, g, trace_path)
-    lines = trace_path.read_text().splitlines()
-    assert lines[0] == "t,x,v0"
-    t, x, v0 = lines[1].split(",")
-    assert float(v0) == rec.field_trace_snapshots[0][1][0]
