@@ -3,9 +3,13 @@
 The invasion front at time t is where a profile crosses a fixed density
 level; tracking its rightmost crossing over time and fitting a line to the
 late samples gives the empirical spreading speed, to be compared with the
-dispersion prediction.  The remaining helpers check the structural
-properties runs are expected to obey: componentwise ordering between two
-evolutions and distance from the invaded steady state (nu/mu, 1).
+dispersion prediction.  A run's snapshots are the arrays of its
+``RunRecord``, one row per snapshot, and a ``Channel`` names the array.
+One crossing finder works along the rows of a whole array at once, for
+one profile (``front_position``) or for every snapshot (``front_series``).
+The remaining helpers check the structural properties runs are expected
+to obey: componentwise ordering between two evolutions and distance from
+the invaded steady state (nu/mu, 1).
 """
 
 from __future__ import annotations
@@ -61,28 +65,47 @@ class SpeedEstimate:
     residual_rms: float
 
 
+def _crossings(profiles: np.ndarray, grid: Grid, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rightmost level crossing in each row of a (n, nx) profile array.
+
+    A crossing is a node pair with profile >= threshold on the left and
+    < threshold on the right, interpolated linearly.  Returns the indices
+    of the rows that cross and their crossing positions; rows without a
+    crossing are left out.  Raises GridMismatchError when a row is not nx
+    long and ValueError when a profile holds a nan or an infinity.
+    """
+    if profiles.shape[1:] != (grid.nx,):
+        raise GridMismatchError(
+            f"profile shape {profiles.shape[1:]} does not match grid ({grid.nx},)")
+    if not np.isfinite(profiles).all():
+        raise ValueError("profile holds a non-finite value")
+    above = profiles >= threshold
+    cross = above[:, :-1] & ~above[:, 1:]
+    rows = np.flatnonzero(cross.any(axis=1))
+    # the last crossing of a row is the first one of the reversed row
+    i = grid.nx - 2 - np.argmax(cross[rows, ::-1], axis=1)
+    left, right = profiles[rows, i], profiles[rows, i + 1]
+    frac = (left - threshold) / (left - right)
+    return rows, grid.x()[i] + frac * grid.dx
+
+
 def front_position(profile: np.ndarray, grid: Grid, threshold: float) -> float:
     """Rightmost x where the profile crosses the threshold level.
 
-    Scans from x_max inward for the first node pair with profile >= threshold
-    on the left and < threshold on the right, then interpolates linearly.
-    Translation-equivariant: shifting the profile by k nodes shifts the
-    result by exactly k*dx.  Raises NoCrossingError for profiles entirely
-    above or entirely below the level.
+    The rightmost node pair with profile >= threshold on the left and
+    < threshold on the right, interpolated linearly.  Translation-equivariant:
+    shifting the profile by k nodes shifts the result by exactly k*dx.
+    Raises NoCrossingError for profiles entirely above or entirely below
+    the level, and ValueError for a profile holding a nan or an infinity.
     """
     p = np.asarray(profile, dtype=float)
-    if p.shape != (grid.nx,):
-        raise GridMismatchError(f"profile shape {p.shape} does not match grid ({grid.nx},)")
-    above = p >= threshold
-    for i in range(grid.nx - 2, -1, -1):
-        if above[i] and not above[i + 1]:
-            x = grid.x()
-            frac = (p[i] - threshold) / (p[i] - p[i + 1])
-            return float(x[i] + frac * grid.dx)
-    raise NoCrossingError(
-        f"profile does not cross {threshold} with a decreasing tail "
-        f"(range [{p.min()}, {p.max()}])"
-    )
+    rows, positions = _crossings(p[None], grid, threshold)
+    if not len(rows):
+        raise NoCrossingError(
+            f"profile does not cross {threshold} with a decreasing tail "
+            f"(range [{p.min()}, {p.max()}])"
+        )
+    return float(positions[0])
 
 
 def front_series(
@@ -91,30 +114,15 @@ def front_series(
     channel: Channel = Channel.ROAD,
     threshold: float = 0.5,
 ) -> FrontSeries:
-    """Track the rightmost crossing through a run's snapshots.
+    """Track the rightmost crossing through a run's snapshots, all in one call.
 
-    Snapshots without a crossing (before the front has formed, or after the
-    level is no longer reached) are skipped rather than raising.
+    The channel names the record's profile array.  Snapshots without a
+    crossing (before the front has formed, or after the level is no longer
+    reached) are skipped rather than raising.
     """
-    snaps = (
-        record.road_profile_snapshots
-        if channel is Channel.ROAD
-        else record.field_trace_snapshots
-    )
-    times, positions = [], []
-    for t, profile in snaps:
-        try:
-            xf = front_position(profile, grid, threshold)
-        except NoCrossingError:
-            continue
-        times.append(t)
-        positions.append(xf)
-    return FrontSeries(
-        times=np.asarray(times),
-        positions=np.asarray(positions),
-        threshold=threshold,
-        channel=channel,
-    )
+    rows, positions = _crossings(getattr(record, channel.value), grid, threshold)
+    return FrontSeries(times=record.times[rows], positions=positions,
+                       threshold=threshold, channel=channel)
 
 
 def fit_speed(series: FrontSeries, window_fraction: float = 0.5) -> SpeedEstimate:

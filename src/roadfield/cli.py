@@ -245,9 +245,14 @@ PRESETS = {
 
 
 def _sized_extent(c_guess: float, t_end: float, dx: float) -> float:
-    """Half-width keeping the front 20 units clear of the wall, on the dx lattice."""
-    raw = c_guess * t_end + 20.0
-    return math.ceil(raw / (20.0 * dx)) * (20.0 * dx)
+    """Half-width keeping the front 20 units clear of the wall, on the dx lattice.
+
+    Raises ValueError when that half-width is not finite.
+    """
+    cells = (c_guess * t_end + 20.0) / (20.0 * dx)
+    if not math.isfinite(cells):
+        raise ValueError(f"the domain sized for t_end={t_end} is not finite")
+    return math.ceil(cells) * (20.0 * dx)
 
 
 def cmd_simulate(args) -> int:
@@ -255,19 +260,20 @@ def cmd_simulate(args) -> int:
     params, knobs = _resolve(args, preset.defaults)
     t_end, dx, x_min, x_max = knobs["t_end"], knobs["dx"], knobs["x_min"], knobs["x_max"]
     prediction = _physical_speed(params, knobs["tol"])
-    if x_min is None or x_max is None:
-        half = _sized_extent(prediction.c_star, t_end, dx)
-        x_min = -half if x_min is None else x_min
-        x_max = half if x_max is None else x_max
     try:
+        if x_min is None or x_max is None:
+            half = _sized_extent(prediction.c_star, t_end, dx)
+            x_min = -half if x_min is None else x_min
+            x_max = half if x_max is None else x_max
         grid = simulate.build_grid(x_min, x_max, knobs["y_max"], dx, knobs["dy"], params,
                                    knobs["safety"])
+        n_steps = simulate._step_count(t_end, grid.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     snapshot_every = knobs["snapshot_every"] or max(1, int(round(preset.snapshot_dt / grid.dt)))
     substeps = simulate.road_substeps(grid, params)
     print(f"# preset={args.preset} grid {grid.nx}x{grid.ny} dt={_fmt(grid.dt)} "
-          f"steps={simulate._step_count(t_end, grid.dt)} road_substeps={substeps} "
+          f"steps={n_steps} road_substeps={substeps} "
           f"field_dt={_fmt(substeps * grid.dt)}")
     print(f"# dispersion prediction: c_kpp={_fmt(c_kpp(params))} "
           f"c_star={_fmt(prediction.c_star)} ({prediction.regime.value})")
@@ -336,8 +342,12 @@ def validate_suites(
     """Property suites: KPP class, equilibria, conservation, ordering, CFL, steady state.
 
     ``safety`` > 1 deliberately breaks the CFL bound; the stability suite is
-    then expected to report the blow-up it provokes.
+    then expected to report the blow-up it provokes.  Raises ValueError for
+    ``seeds`` or ``steps`` below 1, on which the ordering suite would pass
+    over no pairs.
     """
+    if seeds < 1 or steps < 1:
+        raise ValueError(f"seeds and steps must be >= 1, got seeds={seeds}, steps={steps}")
     results: list[SuiteResult] = []
 
     kpp = check_kpp(params.reaction)
@@ -363,10 +373,9 @@ def validate_suites(
     # loop's: the lowest failing seed at its first failing step
     rng_grid = simulate.build_grid(-6.0, 6.0, 4.0, 0.5, 0.5, params, 0.4)
     nx, ny = rng_grid.nx, rng_grid.ny
-    n = max(seeds, 0)
-    u_lo, u_hi = np.empty((n, nx)), np.empty((n, nx))
-    v_lo, v_hi = np.empty((n, nx, ny)), np.empty((n, nx, ny))
-    for seed in range(n):
+    u_lo, u_hi = np.empty((seeds, nx)), np.empty((seeds, nx))
+    v_lo, v_hi = np.empty((seeds, nx, ny)), np.empty((seeds, nx, ny))
+    for seed in range(seeds):
         rng = np.random.default_rng(20_000 + seed)
         u_lo[seed] = 0.5 * nu_mu * rng.random(nx)
         v_lo[seed] = 0.5 * rng.random((nx, ny))

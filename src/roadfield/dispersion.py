@@ -591,25 +591,31 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
 # --- crossings at fixed speed ---------------------------------------------------
 
 
-def _branch_diff(system: _Tangency, c: float, b, rs: float, fs: float):
-    """Road branch rs minus field branch fs (signs +/-1) of the system, float or array b."""
-    return (_root(c, _road_disc(system, c, b), 2.0 * system.road, rs)
-            - _root(c, _field_disc(system, c, b), 2.0 * system.field, fs))
+def _road_residual(system: _Tangency, c: float, b, upper: bool):
+    """The road equation road a^2 - c a - h(b) on a field branch a(b), float or array b.
+
+    It vanishes exactly where that field branch crosses either road branch.
+    The lower field branch is :func:`_lower_root`, which keeps its digits
+    at large c.
+    """
+    a = (_root(c, _field_disc(system, c, b), 2.0 * system.field) if upper
+         else _lower_root(system, c, b))
+    return system.road * a * a - c * a - system.h(b)
 
 
 def intersections(c: float, params: ModelParams) -> IntersectionSet:
     """Locate every crossing of the road curve with the field circle at speed c.
 
-    Scans all four (road branch, field branch) pairs for sign changes of
-    the branch difference over ``CROSSING_SCAN_POINTS`` even nodes of the
-    admissible b interval and refines each by bisection.  At large D the
-    stretch where the upper road branch clears the lower field branch is
-    narrower than the node spacing, so the argmax of :func:`curve_gap`
-    also splits its cell when that cell shows no sign change of its own.
-    Points are labelled by the field semicircle they lie on.  For D > 2d
-    and c > c* the loci cross at exactly two points.  For D <= 2d, where
-    c* = c_KPP, they need not cross at all just above c* (D = d = mu = 1
-    at c = 2.25 gives no points).
+    On each field semicircle, scans the road equation's residual
+    (:func:`_road_residual`) for sign changes over ``CROSSING_SCAN_POINTS``
+    even nodes of the admissible b interval and refines each by bisection.
+    At large D the stretch where the upper road branch clears the lower
+    field branch is narrower than the node spacing, so the argmax of
+    :func:`curve_gap` also splits its cell when that cell shows no sign
+    change of its own.  Points are labelled by the field semicircle they
+    lie on.  For D > 2d and c > c* the loci cross at exactly two points.
+    For D <= 2d, where c* = c_KPP, they need not cross at all just above
+    c* (D = d = mu = 1 at c = 2.25 gives no points).
     """
     _require_normalized(params)
     if params.D <= 0:
@@ -619,35 +625,32 @@ def intersections(c: float, params: ModelParams) -> IntersectionSet:
     b_peak = _gap_and_argmax(system, c)[1]
     k_peak = min(max(int(np.searchsorted(grid, b_peak)) - 1, 0), CROSSING_SCAN_POINTS - 2)
     found: list[CurvePoint] = []
-    for rs in (1.0, -1.0):
-        for field_sign, branch in (("+", Branch.FIELD_PLUS), ("-", Branch.FIELD_MINUS)):
+    for field_sign, branch in (("+", Branch.FIELD_PLUS), ("-", Branch.FIELD_MINUS)):
 
-            def diff(b, _rs=rs, _fs=_check_sign(field_sign)):
-                return _branch_diff(system, c, b, _rs, _fs)
+        def diff(b, _upper=field_sign == "+"):
+            return _road_residual(system, c, b, _upper)
 
-            vals = diff(grid)
-            brackets = [(grid[k], grid[k + 1], vals[k], vals[k + 1])
-                        for k in np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)]
-            # cells with a sign change keep their bracket, so every crossing
-            # the even scan finds comes out as before, bit for bit
-            k, v_peak = k_peak, float(diff(b_peak))
-            if vals[k] * vals[k + 1] > 0.0 and vals[k] * v_peak <= 0.0:
-                brackets += [(grid[k], b_peak, vals[k], v_peak),
-                             (b_peak, grid[k + 1], v_peak, vals[k + 1])]
-            for a, b, va, vb in brackets:
-                if va == 0.0 and vb == 0.0:
-                    continue
-                # orient the difference to rise through the bracket; exact
-                # zeros count as past the crossing
-                s = 1.0 if va < vb else -1.0
-                a, b = _bisect_gap(lambda t, s=s: s * float(diff(t)) >= 0.0, float(a), float(b), 0.0)
-                beta_root = 0.5 * (a + b)
-                alpha_root = alpha_field(c, beta_root, params, field_sign)
-                if not any(
-                    abs(p.beta - beta_root) < 1e-9 and abs(p.alpha - alpha_root) < 1e-9
-                    for p in found
-                ):
-                    found.append(CurvePoint(beta=beta_root, alpha=alpha_root, branch=branch))
+        vals = diff(grid)
+        brackets = [(grid[k], grid[k + 1], vals[k], vals[k + 1])
+                    for k in np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)]
+        k, v_peak = k_peak, float(diff(b_peak))
+        if vals[k] * vals[k + 1] > 0.0 and vals[k] * v_peak <= 0.0:
+            brackets += [(grid[k], b_peak, vals[k], v_peak),
+                         (b_peak, grid[k + 1], v_peak, vals[k + 1])]
+        for a, b, va, vb in brackets:
+            if va == 0.0 and vb == 0.0:
+                continue
+            # orient the residual to rise through the bracket; exact zeros
+            # count as past the crossing
+            s = 1.0 if va < vb else -1.0
+            a, b = _bisect_gap(lambda t, s=s: s * float(diff(t)) >= 0.0, float(a), float(b), 0.0)
+            beta_root = 0.5 * (a + b)
+            alpha_root = alpha_field(c, beta_root, params, field_sign)
+            if not any(
+                abs(p.beta - beta_root) < 1e-9 and abs(p.alpha - alpha_root) < 1e-9
+                for p in found
+            ):
+                found.append(CurvePoint(beta=beta_root, alpha=alpha_root, branch=branch))
     found.sort(key=lambda p: p.beta)
     return IntersectionSet(c=c, points=tuple(found))
 

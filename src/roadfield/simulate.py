@@ -38,6 +38,13 @@ single step, and k = 1 (whenever the road term does not bind) is the plain
 single-rate update bit for bit.  Record times, snapshots and blow-up steps
 still count grid steps of dt: a field step never spans a snapshot.
 
+Snapshots.  :func:`run` fixes its snapshot steps up front, 0, every
+``snapshot_every`` steps and the last step, and advances from one to the
+next in field steps of at most k grid steps.  The record holds them as
+arrays, one row per snapshot: times and mass of shape (n,), the road
+profile and the field trace at y = 0 of shape (n, nx), allocated once
+before the first step.
+
 Both Laplacians are evaluated in the mirror-symmetric form
 (w[i+1] + w[i-1]) - w[i] - w[i], the walls with their mirror ghosts as
 (w[1] + w[1]) - w[0] - w[0].  IEEE addition is commutative, so one step maps
@@ -45,8 +52,8 @@ a state that is exactly symmetric under x -> -x to an exactly symmetric
 state.  :func:`run` uses this: when nx is odd and the sampled datum equals
 its own mirror image bit for bit, it integrates only the columns from the
 centre to x_max, with the centre column's mirror wall as the symmetry line,
-and unfolds the half before every mass, snapshot and final state.  The
-record is then bit-identical to the full-domain integration at half the
+and unfolds the half once per snapshot, the last of which is the final
+state.  The record is then bit-identical to the full-domain integration at half the
 cost.  :func:`step` always advances the full domain.  It also advances a
 batch of states (leading axes on u and v) in one kernel call, each member
 bit for bit as it would advance alone.
@@ -285,12 +292,18 @@ class FieldState:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Snapshot series produced by :func:`run`; times are strictly increasing."""
+    """The n snapshots of :func:`run` as arrays, row j taken at times[j].
+
+    times (strictly increasing) and mass have shape (n,); road, the road
+    profile u, and field_trace, the field at y = 0, have shape (n, nx).
+    The profile fields are named after ``analysis.Channel``'s values.
+    final_state is the state at the last snapshot.
+    """
 
     times: np.ndarray
     mass: np.ndarray
-    road_profile_snapshots: list[tuple[float, np.ndarray]]
-    field_trace_snapshots: list[tuple[float, np.ndarray]]
+    road: np.ndarray
+    field_trace: np.ndarray
     final_state: FieldState
 
 
@@ -463,8 +476,9 @@ def run(
     """Integrate from the datum to t_end, recording mass and profiles.
 
     Snapshots (time, total mass, road profile, field trace at y=0) are taken
-    at step 0, every ``snapshot_every`` steps, and at the final step.  The
-    run is deterministic: identical inputs give bit-identical records.
+    at step 0, every ``snapshot_every`` steps, and at the final step, into
+    the arrays of a :class:`RunRecord`; the state at the last snapshot is
+    its final_state.  The run is deterministic: identical inputs give bit-identical records.
     Raises CflViolationError up front if grid.dt exceeds the stability
     bound, and BlowUpError (naming the failing step) if the state runs away.
 
@@ -496,53 +510,43 @@ def run(
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     substeps = road_substeps(grid, params)
 
-    times: list[float] = []
-    mass: list[float] = []
-    road_snaps: list[tuple[float, np.ndarray]] = []
-    trace_snaps: list[tuple[float, np.ndarray]] = []
-
-    def record(k: int, u: np.ndarray, v: np.ndarray) -> None:
-        t = k * grid.dt
-        if fold:
-            u, v = _unfold(u), _unfold(v)
-        times.append(t)
-        mass.append(total_mass(FieldState(t=t, u=u, v=v), grid))
-        road_snaps.append((t, u))
-        # copied, so that the record does not keep every field array alive
-        trace_snaps.append((t, v[:, 0].copy()))
-
-    record(0, u, v)
+    targets = [*range(0, n_steps, snapshot_every), n_steps]
+    times = np.asarray(targets) * dt
+    mass = np.empty(len(targets))
+    road = np.empty((len(targets), grid.nx))
+    field_trace = np.empty_like(road)
     k = 0
-    while k < n_steps:
-        # one field step spans m grid steps, never past a snapshot or the end
-        m = min(substeps, n_steps - k, snapshot_every - k % snapshot_every)
-        u, v = _advance(u, v, params, dt, dx, dy, f, m)
-        k += m
-        if not _within_cap(u, v, cap, params):
-            raise BlowUpError(
-                f"blow-up at step {k} (t={k * grid.dt}): max u {u.max()}, max v {v.max()} "
-                f"exceed the cap {params.nu / params.mu * cap} on u or {cap} on v",
-                step=k,
-                t=k * grid.dt,
-            )
-        if k % snapshot_every == 0 or k == n_steps:
-            record(k, u, v)
-
-    if fold:
-        u, v = _unfold(u), _unfold(v)
-    final = FieldState(t=n_steps * grid.dt, u=u, v=v)
-    return RunRecord(
-        times=np.asarray(times),
-        mass=np.asarray(mass),
-        road_profile_snapshots=road_snaps,
-        field_trace_snapshots=trace_snaps,
-        final_state=final,
-    )
+    for j, target in enumerate(targets):
+        while k < target:
+            # one field step spans m grid steps, never past the next snapshot
+            m = min(substeps, target - k)
+            u, v = _advance(u, v, params, dt, dx, dy, f, m)
+            k += m
+            if not _within_cap(u, v, cap, params):
+                raise BlowUpError(
+                    f"blow-up at step {k} (t={k * dt}): max u {u.max()}, max v {v.max()} "
+                    f"exceed the cap {params.nu / params.mu * cap} on u or {cap} on v",
+                    step=k,
+                    t=k * dt,
+                )
+        full_u, full_v = (_unfold(u), _unfold(v)) if fold else (u, v)
+        snapshot = FieldState(t=k * dt, u=full_u, v=full_v)
+        mass[j] = total_mass(snapshot, grid)
+        road[j] = snapshot.u
+        field_trace[j] = snapshot.v[:, 0]
+    return RunRecord(times=times, mass=mass, road=road, field_trace=field_trace,
+                     final_state=snapshot)
 
 
 def _step_count(t_end: float, dt: float) -> int:
-    """Steps of dt that :func:`run` takes to reach t_end (the last may overshoot it)."""
-    return max(0, int(math.ceil(t_end / dt - 1e-9)))
+    """Steps of dt that :func:`run` takes to reach t_end (the last may overshoot it).
+
+    Raises ValueError when t_end/dt is not finite (t_end = 1e308 overflows it).
+    """
+    n = t_end / dt
+    if not math.isfinite(n):
+        raise ValueError(f"t_end={t_end} is not a finite number of steps of dt={dt}")
+    return max(0, int(math.ceil(n - 1e-9)))
 
 
 def _is_mirror_symmetric(u: np.ndarray, v: np.ndarray) -> bool:

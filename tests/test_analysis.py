@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roadfield as rf
 from roadfield.analysis import write_front_series_csv, write_speed_estimate_csv
@@ -59,6 +61,59 @@ def test_front_position_shape_check():
     g = line_grid()
     with pytest.raises(GridMismatchError):
         rf.front_position(np.zeros(7), g, 0.5)
+
+
+@pytest.mark.parametrize("profile", [[1.0, 1.0, math.nan, 0.0, 0.0],
+                                     [1.0, 1.0, 0.2, math.inf, 0.0]], ids=["nan", "inf"])
+def test_front_position_rejects_a_non_finite_profile(profile):
+    # both once returned nan
+    g = line_grid(nx=5)
+    with pytest.raises(ValueError, match="non-finite"):
+        rf.front_position(profile, g, 0.5)
+
+
+def _scan_front(profile, grid, threshold):
+    """The rightmost crossing by a node-by-node scan from x_max inward; None without one."""
+    x = grid.x()
+    for i in range(grid.nx - 2, -1, -1):
+        if profile[i] >= threshold and not profile[i + 1] >= threshold:
+            frac = (profile[i] - threshold) / (profile[i] - profile[i + 1])
+            return float(x[i] + frac * grid.dx)
+    return None
+
+
+# plateaus and values exactly at the level come from the sampled values
+_level = st.sampled_from([0.25, 0.5])
+_value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nx=st.integers(3, 24), threshold=_level, data=st.data())
+def test_the_crossing_finder_is_the_scan_bit_for_bit(nx, threshold, data):
+    grid = rf.Grid(x_min=-3.0, x_max=4.0, y_max=1.0, nx=nx, ny=3, dt=1.0)
+    n = data.draw(st.integers(1, 6))
+    rows = st.lists(_value, min_size=nx, max_size=nx)
+    road = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)))
+    trace = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)))
+    expected = {}
+    for j, profile in enumerate(road):
+        front = _scan_front(profile, grid, threshold)
+        if front is None:
+            with pytest.raises(NoCrossingError):
+                rf.front_position(profile, grid, threshold)
+        else:
+            expected[j] = rf.front_position(profile, grid, threshold)
+            assert np.float64(expected[j]).tobytes() == np.float64(front).tobytes()
+    times = 0.5 * np.arange(n)
+    record = rf.RunRecord(times=times, mass=np.zeros(n), road=road, field_trace=trace,
+                          final_state=rf.FieldState(t=times[-1], u=road[-1],
+                                                    v=np.zeros((nx, grid.ny))))
+    series = rf.front_series(record, grid, rf.Channel.ROAD, threshold)
+    assert series.times.tobytes() == times[list(expected)].tobytes()
+    assert series.positions.tobytes() == np.array(list(expected.values()), dtype=float).tobytes()
+    trace_series = rf.front_series(record, grid, rf.Channel.FIELD_TRACE, threshold)
+    fronts = [_scan_front(profile, grid, threshold) for profile in trace]
+    assert trace_series.positions.tolist() == [x for x in fronts if x is not None]
 
 
 # --- fit_speed ------------------------------------------------------------------------

@@ -99,6 +99,9 @@ BAD_VALUES = {
     "x-reversed": ("simulate", "--preset", "kpp", "--set", "x_min=5", "--set", "x_max=-5"),
     "window_fraction-0": (*_KPP_TINY, "--set", "window_fraction=0"),
     "seeds-0": ("validate", "--set", "seeds=0"),
+    # t_end / dt overflows: the sized domain and the step count are not finite
+    "enhanced-t_end-huge": ("simulate", "--preset", "enhanced", "--set", "t_end=1e308"),
+    "kpp-t_end-huge": ("simulate", "--preset", "kpp", "--set", "t_end=1e308"),
 }
 
 
@@ -376,6 +379,13 @@ def test_validate_suites_flag_bad_reaction():
     by_name = {r.suite: r for r in results}
     assert not by_name["check_kpp"].passed
     assert by_name["check_kpp"].value > 0.0
+
+
+@pytest.mark.parametrize("seeds, steps", [(0, 1), (1, 0), (-1, 5)])
+def test_validate_suites_rejects_an_empty_ordering_suite(seeds, steps):
+    # seeds=0 once passed the ordering suite over no pairs
+    with pytest.raises(ValueError, match="seeds and steps"):
+        validate_suites(rf.ModelParams(D=1, d=1, mu=1), seeds=seeds, steps=steps)
 
 
 @pytest.mark.parametrize("nu", ["4", "8"])

@@ -258,8 +258,9 @@ def test_run_snapshot_times_strictly_increasing():
     rec = rf.run(P1, g, rf.InitialDatum.compact_bump(), t_end=1.0, snapshot_every=7)
     assert np.all(np.diff(rec.times) > 0.0)
     assert rec.times[-1] == pytest.approx(1.0, abs=g.dt)
-    assert len(rec.road_profile_snapshots) == len(rec.times)
-    assert len(rec.field_trace_snapshots) == len(rec.times)
+    n = len(rec.times)
+    assert rec.mass.shape == (n,)
+    assert rec.road.shape == rec.field_trace.shape == (n, g.nx)
 
 
 def test_run_is_deterministic():
@@ -279,8 +280,7 @@ def test_run_stays_below_supersolution_bound():
     eps = 1e-9
     assert rec.final_state.v.max() <= 1.0 + eps
     assert rec.final_state.u.max() <= 1.0 + eps
-    for _, u in rec.road_profile_snapshots:
-        assert u.max() <= 1.0 + eps
+    assert rec.road.max() <= 1.0 + eps
 
 
 def test_run_rejects_unstable_dt():
@@ -306,6 +306,9 @@ def test_run_validates_arguments():
         rf.run(P1, g, rf.InitialDatum.compact_bump(), t_end=-1.0)
     with pytest.raises(ValueError):
         rf.run(P1, g, rf.InitialDatum.compact_bump(), t_end=1.0, snapshot_every=0)
+    # t_end / dt overflows to inf: no finite step count
+    with pytest.raises(ValueError, match="finite"):
+        rf.run(P1, g, rf.InitialDatum.compact_bump(), t_end=1e308)
 
 
 # --- mirror fold ---------------------------------------------------------------------
@@ -351,13 +354,9 @@ def test_run_equals_iterated_step_bit_for_bit(monkeypatch, reaction, center, fol
     assert np.array_equal(rec.final_state.u, states[-1].u)
     assert np.array_equal(rec.final_state.v, states[-1].v)
     assert np.array_equal(rec.mass, [rf.total_mass(s, grid) for s in states])
-    # every snapshot, not only the last: the record shares arrays with the run
-    assert len(rec.road_profile_snapshots) == len(states)
-    for t, (t_u, u), (t_v, v0), s in zip(rec.times, rec.road_profile_snapshots,
-                                         rec.field_trace_snapshots, states):
-        assert t_u == t_v == t
-        assert u.shape == (grid.nx,) and np.array_equal(u, s.u)
-        assert np.array_equal(v0, s.v[:, 0])
+    # every snapshot, not only the last
+    assert np.array_equal(rec.road, [s.u for s in states])
+    assert np.array_equal(rec.field_trace, [s.v[:, 0] for s in states])
 
 
 def test_symmetric_domain_nodes_are_exactly_antisymmetric(monkeypatch):
@@ -507,10 +506,8 @@ def test_multirate_fold_equals_full_domain_bit_for_bit(monkeypatch):
     assert max(m for _, m in calls) == 5
     assert np.array_equal(folded.times, full.times)
     assert np.array_equal(folded.mass, full.mass)
-    for (_, a), (_, b) in zip(folded.road_profile_snapshots, full.road_profile_snapshots):
-        assert np.array_equal(a, b)
-    for (_, a), (_, b) in zip(folded.field_trace_snapshots, full.field_trace_snapshots):
-        assert np.array_equal(a, b)
+    assert np.array_equal(folded.road, full.road)
+    assert np.array_equal(folded.field_trace, full.field_trace)
     assert np.array_equal(folded.final_state.u, full.final_state.u)
     assert np.array_equal(folded.final_state.v, full.final_state.v)
 
@@ -541,10 +538,8 @@ def test_multirate_keeps_ordered_data_ordered_and_nonnegative():
                     t_end=2.0, snapshot_every=10)
         assert rf.is_ordered(lo.final_state, hi.final_state)
         assert lo.final_state.u.min() >= 0.0 and lo.final_state.v.min() >= 0.0
-        for (_, a), (_, b) in zip(lo.road_profile_snapshots, hi.road_profile_snapshots):
-            assert np.all(a <= b) and a.min() >= 0.0
-        for (_, a), (_, b) in zip(lo.field_trace_snapshots, hi.field_trace_snapshots):
-            assert np.all(a <= b) and a.min() >= 0.0
+        assert np.all(lo.road <= hi.road) and lo.road.min() >= 0.0
+        assert np.all(lo.field_trace <= hi.field_trace) and lo.field_trace.min() >= 0.0
 
 
 def test_multirate_keeps_the_single_rate_schedule(monkeypatch):
