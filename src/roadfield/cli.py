@@ -36,7 +36,7 @@ from .params import (
     ModelParams,
     _config_params,
     _config_value,
-    _read_config,
+    _read_config_file,
     _read_pairs,
     c_kpp,
     check_kpp,
@@ -97,17 +97,6 @@ _VERB_KNOBS = {
 }
 
 
-def _config_file(path: Path | None) -> dict:
-    """The parameter values of a --config file, by key."""
-    if path is None:
-        return {}
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read --config {path}: {exc}") from exc
-    return _read_config(text)
-
-
 def _resolve(args, preset: dict | None = None) -> tuple[ModelParams, dict]:
     """The parameters and the knobs of one call: defaults < --config < preset < --set.
 
@@ -126,7 +115,8 @@ def _resolve(args, preset: dict | None = None) -> tuple[ModelParams, dict]:
         raise ConfigError(f"{where}: unknown key {key!r} for {args.verb}; it reads {', '.join(keys)}")
 
     values = {name: knob.default for name, knob in knobs.items()}
-    values |= _config_file(args.config)
+    if args.config is not None:
+        values |= _read_config_file(args.config)
     values |= preset or {}
     values |= _read_pairs((("--set", pair) for pair in args.set), set_value)
     return _config_params(values), {name: values[name] for name in knobs}

@@ -32,7 +32,11 @@ derived from the system once it is built:
 - the gap in c, ``_gap_and_argmax``: the gap maximised over the b
   interval by one maximiser, ``_max_gap`` (a dense grid scan, then
   golden-section refinement); it changes sign at the speed;
-- the speed, ``_tangent_speed``: Newton's method on the tangency system in
+- the speed, ``_tangent_speed``, one function that seeds, solves,
+  certifies and falls back, taking the gap in c from the system itself
+  (``critical_speed`` certifies through the public :func:`curve_gap`,
+  which is the half-plane system's gap).
+  It runs Newton's method (``_newton_tangency``) on the tangency system in
   (a, b, c), the road equation, the field equation and the vanishing of
   their Jacobian determinant in (a, b), which needs h' and h''
   (``slopes``).  The seed bisects a coarse ``SEED_POINTS`` scan of the gap
@@ -56,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -490,10 +495,11 @@ def _newton_tangency(system: _Tangency, a: float, b: float,
     return None
 
 
-def _newton_speed(system: _Tangency, gap: Callable[[float], float], lo: float, hi: float,
-                  tol: float, seeds: tuple[tuple[float, float, float], ...] = ()
-                  ) -> tuple[float, float, tuple[float, float]] | None:
-    """(c, b, bracket) by certified Newton inside [lo, hi]; None when the certificate fails.
+def _tangent_speed(system: _Tangency, lo: float, hi: float, tol: float,
+                   seeds: tuple[tuple[float, float, float], ...] = (),
+                   gap: Callable[[float], float] | None = None
+                   ) -> tuple[float, float, tuple[float, float]]:
+    """(c, b, bracket) where the system's gap in c changes sign in [lo, hi].
 
     The first seed (a, b, c) bisects the coarse gap to SEED_SHARE of
     [lo, hi] and takes b from the coarse argmax and a from the lower field
@@ -505,7 +511,14 @@ def _newton_speed(system: _Tangency, gap: Callable[[float], float], lo: float, h
     (b, c), so the smallest root's c is the best bound on the speed, and
     only it is certified: a bracket of width <= tol around it, inside
     [lo, hi], with gap <= 0 at its lower end and gap > 0 at its upper end.
+    When Newton finds no root or the certificate fails, the gap's sign
+    change is bisected on the same [lo, hi] to width tol; the speed is the
+    midpoint and b the maximising b there.  The certificate and the
+    fallback evaluate ``gap``, the system's own gap in c when None; it
+    must equal ``_gap_and_argmax(system, c)[0]``.
     """
+    gap = gap or (lambda c: _gap_and_argmax(system, c)[0])
+
     s_lo, s_hi = lo, hi
     while True:
         s_lo, s_hi = _bisect_gap(lambda c: _gap_and_argmax(system, c, coarse=True)[0], s_lo, s_hi,
@@ -516,30 +529,14 @@ def _newton_speed(system: _Tangency, gap: Callable[[float], float], lo: float, h
                  if (root := _newton_tangency(system, a, b, c)) is not None]
         if roots or s_hi - s_lo <= SEED_SHARE * s_lo:
             break
-    if not roots:
-        return None
-    _, b, c = min(roots, key=lambda root: root[2])
-    c_lo, c_hi = max(c - 0.5 * tol, lo), min(c + 0.5 * tol, hi)
-    while c_hi - c_lo > tol:
-        # c +/- tol/2 rounds outward by at most an ulp or two
-        c_hi = math.nextafter(c_hi, -math.inf)
-    if not (c_lo <= c <= c_hi and gap(c_lo) <= 0.0 < gap(c_hi)):
-        return None
-    return c, b, (c_lo, c_hi)
-
-
-def _tangent_speed(system: _Tangency, gap: Callable[[float], float], lo: float, hi: float,
-                   tol: float, seeds: tuple[tuple[float, float, float], ...] = ()
-                   ) -> tuple[float, float, tuple[float, float]]:
-    """(c, b, bracket) where gap, the system's gap in c, changes sign in [lo, hi].
-
-    Certified Newton on ``system`` inside [lo, hi] first (:func:`_newton_speed`).
-    When that fails, gap's sign change is bisected on the same [lo, hi] to
-    width tol; the speed is the midpoint and b the maximising b there.
-    """
-    newton = _newton_speed(system, gap, lo, hi, tol, seeds)
-    if newton is not None:
-        return newton
+    if roots:
+        _, b, c = min(roots, key=lambda root: root[2])
+        c_lo, c_hi = max(c - 0.5 * tol, lo), min(c + 0.5 * tol, hi)
+        while c_hi - c_lo > tol:
+            # c +/- tol/2 rounds outward by at most an ulp or two
+            c_hi = math.nextafter(c_hi, -math.inf)
+        if c_lo <= c <= c_hi and gap(c_lo) <= 0.0 < gap(c_hi):
+            return c, b, (c_lo, c_hi)
     lo, hi = _bisect_gap(gap, lo, hi, tol)
     c = 0.5 * (lo + hi)
     return c, float(_gap_and_argmax(system, c)[1]), (lo, hi)
@@ -584,8 +581,9 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
             raise BracketError(
                 f"no curve crossing found up to c={2.0**60 * ck}; parameters are inconsistent"
             )
-    return _super_threshold(*_tangent_speed(system, lambda c: curve_gap(c, params), ck, hi, tol),
-                            tol, params, Branch.FIELD_MINUS)
+    # the public curve_gap is the half-plane's gap: the certificate is its sign change
+    speed = _tangent_speed(system, ck, hi, tol, gap=partial(curve_gap, params=params))
+    return _super_threshold(*speed, tol, params, Branch.FIELD_MINUS)
 
 
 # --- crossings at fixed speed ---------------------------------------------------
@@ -815,8 +813,7 @@ def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL
             f"no sign change of the strip gap on (c_KPP, c*) at L={L}"
         )
     seed = (full.tangency.alpha, full.tangency.beta, full.c_star)
-    return _super_threshold(*_tangent_speed(system, lambda c: _gap_and_argmax(system, c)[0], ck,
-                                            c_hi, tol, (seed,)),
+    return _super_threshold(*_tangent_speed(system, ck, c_hi, tol, (seed,)),
                             tol, params, Branch.ROAD_STRIP_PLUS)
 
 
@@ -859,8 +856,8 @@ def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
         raise ValueError("tol must be positive")
     system = _limit(params)
     lo_bound, _ = limit_bounds(params)
-    return _tangent_speed(system, lambda c: _gap_and_argmax(system, c)[0],
-                          0.5 * math.sqrt(lo_bound), 2.0 * math.sqrt(params.f_prime_0), tol)[0]
+    return _tangent_speed(system, 0.5 * math.sqrt(lo_bound), 2.0 * math.sqrt(params.f_prime_0),
+                          tol)[0]
 
 
 def limit_bounds(params: ModelParams) -> tuple[float, float]:

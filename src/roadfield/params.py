@@ -271,6 +271,19 @@ def parse_config_text(text: str) -> ModelParams:
     return _config_params(_read_config(text))
 
 
+def _read_config_file(path) -> dict:
+    """The parameter values a config file sets, by key, read as UTF-8.
+
+    A file that cannot be opened or decoded is a ConfigError naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return _read_config(text)
+
+
 def parse_config_file(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """:func:`parse_config_text` on a file's text; an unreadable file is a ConfigError."""
+    return _config_params(_read_config_file(path))

@@ -183,6 +183,9 @@ def cfl_dt(grid: Grid, params: ModelParams, safety: float) -> float:
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety must be in (0, 1], got {safety}")
     terms = _cfl_terms(grid, params)
+    if not min(terms.values()) > 0.0:
+        # 1/dx^2 + 1/dy^2 overflows once a spacing nears the float floor (dx = 1e-160)
+        raise ValueError(f"a CFL bound rounds to 0 on this grid: {terms}")
     return min(safety * min(terms.values()), _summed_bound(terms, _FIELD_NODE),
                _summed_bound(terms, _ROAD_NODE))
 
@@ -215,7 +218,15 @@ def build_grid(
     params: ModelParams,
     safety: float = 0.4,
 ) -> Grid:
-    """Grid with the requested spacings and a CFL-limited time step."""
+    """Grid with the requested spacings and a CFL-limited time step.
+
+    Raises ValueError, naming the input, unless every extent is finite and
+    every spacing is finite with a nonzero square (dx = 1e-300 squares to
+    0, which no CFL term can divide by).
+    """
+    for name, value in (("x_min", x_min), ("x_max", x_max), ("y_max", y_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value} is not finite")
     nx = _count_nodes(x_max - x_min, dx, "dx")
     ny = _count_nodes(y_max, dy, "dy")
     probe = Grid(x_min=x_min, x_max=x_max, y_max=y_max, nx=nx, ny=ny, dt=1.0)
@@ -224,6 +235,8 @@ def build_grid(
 
 
 def _count_nodes(length: float, spacing: float, name: str) -> int:
+    if not (math.isfinite(spacing) and spacing * spacing != 0.0):
+        raise ValueError(f"{name}={spacing} is not finite or squares to 0")
     n = length / spacing
     if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
         raise ValueError(f"{name}={spacing} does not divide the domain extent {length}")
@@ -332,7 +345,7 @@ def init_state(grid: Grid, datum: InitialDatum) -> FieldState:
 def _blowup_cap(u0: np.ndarray, v0: np.ndarray, params: ModelParams) -> float | np.ndarray:
     """The cap on v, 10 x max(1, sup v, mu/nu sup u), one per state of a batch.
 
-    The cap on u is nu/mu times it (see :func:`_within_cap`): the road
+    The cap on u is nu/mu times it (see :func:`_check_cap`): the road
     settles at nu/mu times the field level, so both caps follow the
     invariant region [0, nu/mu M] x [0, M] of the exchange.
     """
@@ -343,9 +356,29 @@ def _blowup_cap(u0: np.ndarray, v0: np.ndarray, params: ModelParams) -> float | 
     return 10.0 * np.maximum(1.0, np.maximum(v0.max(axis=(-2, -1)), ratio * u0.max(axis=-1)))
 
 
-def _within_cap(u: np.ndarray, v: np.ndarray, cap, params: ModelParams):
-    """Per state of a batch: sup v <= cap and sup u <= nu/mu cap; False where either holds a NaN."""
-    return (u.max(axis=-1) <= params.nu / params.mu * cap) & (v.max(axis=(-2, -1)) <= cap)
+def _check_cap(u: np.ndarray, v: np.ndarray, cap, params: ModelParams, t: float,
+               step: int | None = None) -> None:
+    """Raise BlowUpError unless each state of a batch has sup v <= cap and sup u <= nu/mu cap.
+
+    A NaN fails both tests.  The one blow-up message of :func:`step` and
+    :func:`run`: it names the first failing state ("state" alone for one
+    state, "state[i]" in a batch), its cap, its max u and max v, the time
+    t and, from :func:`run`, the grid step, which the error also carries.
+    """
+    ok = (u.max(axis=-1) <= params.nu / params.mu * cap) & (v.max(axis=(-2, -1)) <= cap)
+    # one state gives a numpy bool, whose .all() would slow the step measurably
+    if ok.all() if ok.ndim else ok:
+        return
+    # the first failing member, () for one state
+    at = np.unravel_index(np.argmin(ok), ok.shape)
+    raise BlowUpError(
+        f"state{list(map(int, at)) if at else ''} exceeded "
+        f"{np.broadcast_to(cap, ok.shape)[at]} on v or nu/mu times that on u "
+        f"(max u {u[at].max()}, max v {v[at].max()}) at t={t}"
+        f"{'' if step is None else f', grid step {step}'}: the scheme is unstable",
+        step=step,
+        t=t,
+    )
 
 
 def _advance(
@@ -432,7 +465,8 @@ def step(
     exactly as it would be alone (see :func:`_advance`).  ``reaction=None``
     integrates the pure-exchange system (f == 0).  The caller is responsible
     for dt satisfying the CFL bound.  Raises BlowUpError when a member
-    exceeds its cap or turns non-finite.  The cap is on v, and nu/mu times
+    exceeds its cap or turns non-finite, with the one message of
+    :func:`_check_cap` (no grid step).  The cap is on v, and nu/mu times
     it on u; it is ``max_value`` (a number, or an array of the batch shape)
     or by default 10 x max(1, sup v, mu/nu sup u) of the member itself, so
     a batch raises exactly when one of its members would raise alone.
@@ -442,18 +476,7 @@ def step(
     f = params.reaction if reaction is _USE_PARAMS else reaction
     cap = _blowup_cap(state.u, state.v, params) if max_value is None else max_value
     u, v = _advance(state.u, state.v, params, grid.dt, grid.dx, grid.dy, f)
-    ok = _within_cap(u, v, cap, params)
-    # one state gives a numpy bool, whose .all() would slow the step measurably
-    if not (ok.all() if ok.ndim else ok):
-        # the first failing member, () for one state
-        at = np.unravel_index(np.argmin(ok), ok.shape)
-        raise BlowUpError(
-            f"state{list(map(int, at)) if at else ''} exceeded "
-            f"{np.broadcast_to(cap, ok.shape)[at]} on v or nu/mu times that on u "
-            f"(or went non-finite) at t={state.t + grid.dt}: "
-            "the scheme is unstable for this dt",
-            t=state.t + grid.dt,
-        )
+    _check_cap(u, v, cap, params, state.t + grid.dt)
     return FieldState(t=state.t + grid.dt, u=u, v=v)
 
 
@@ -480,7 +503,8 @@ def run(
     the arrays of a :class:`RunRecord`; the state at the last snapshot is
     its final_state.  The run is deterministic: identical inputs give bit-identical records.
     Raises CflViolationError up front if grid.dt exceeds the stability
-    bound, and BlowUpError (naming the failing step) if the state runs away.
+    bound, and BlowUpError if the state runs away: the message of
+    :func:`_check_cap`, and ``.step`` the failing grid step.
 
     A datum that is exactly mirror-symmetric on a grid with odd nx is
     integrated on x >= 0 only (see the module docstring); the record is
@@ -522,13 +546,7 @@ def run(
             m = min(substeps, target - k)
             u, v = _advance(u, v, params, dt, dx, dy, f, m)
             k += m
-            if not _within_cap(u, v, cap, params):
-                raise BlowUpError(
-                    f"blow-up at step {k} (t={k * dt}): max u {u.max()}, max v {v.max()} "
-                    f"exceed the cap {params.nu / params.mu * cap} on u or {cap} on v",
-                    step=k,
-                    t=k * dt,
-                )
+            _check_cap(u, v, cap, params, k * dt, k)
         full_u, full_v = (_unfold(u), _unfold(v)) if fold else (u, v)
         snapshot = FieldState(t=k * dt, u=full_u, v=full_v)
         mass[j] = total_mass(snapshot, grid)

@@ -95,6 +95,7 @@ BAD_VALUES = {
     "snapshot_every-0": ("simulate", "--preset", "kpp", "--set", "snapshot_every=0"),
     "t_end-nan": ("simulate", "--preset", "kpp", "--set", "t_end=nan"),
     "dx-0": ("simulate", "--preset", "kpp", "--set", "dx=0"),
+    "dx-1e-300": ("simulate", "--preset", "kpp", "--set", "dx=1e-300"),   # dx^2 underflows
     "dx-not-dividing": ("simulate", "--preset", "kpp", "--set", "dx=0.7"),
     "x-reversed": ("simulate", "--preset", "kpp", "--set", "x_min=5", "--set", "x_max=-5"),
     "window_fraction-0": (*_KPP_TINY, "--set", "window_fraction=0"),

@@ -713,9 +713,10 @@ def test_low_strip_tangency_sits_at_zero_decay():
 def test_limit_newton_certifies_at_large_exchange(monkeypatch, mu):
     # the limit's first seed bracket spans [sqrt(low)/2, 2 sqrt(f'(0))], decades
     # wide at large mu/f'(0); the seed must still come close enough to the
-    # speed for Newton, so no fallback bisection runs
-    bisect, newton = dispersion._bisect_gap, dispersion._newton_speed
-    fallbacks, certified = [], []
+    # speed for Newton, so the speed is a Newton root and no fallback
+    # bisection runs
+    bisect, newton = dispersion._bisect_gap, dispersion._newton_tangency
+    fallbacks, roots = [], []
 
     def spy_bisect(gap, lo, hi, tol):
         if tol != dispersion.SEED_SHARE * (hi - lo):
@@ -723,15 +724,16 @@ def test_limit_newton_certifies_at_large_exchange(monkeypatch, mu):
         return bisect(gap, lo, hi, tol)
 
     def spy_newton(*args, **kwargs):
-        result = newton(*args, **kwargs)
-        certified.append(result is not None)
-        return result
+        root = newton(*args, **kwargs)
+        if root is not None:
+            roots.append(root)
+        return root
 
     monkeypatch.setattr(dispersion, "_bisect_gap", spy_bisect)
-    monkeypatch.setattr(dispersion, "_newton_speed", spy_newton)
+    monkeypatch.setattr(dispersion, "_newton_tangency", spy_newton)
     p = make(1.0, mu=mu)
     c = rf.limit_speed(p)
-    assert certified == [True] and fallbacks == []
+    assert roots and c == min(root[2] for root in roots) and fallbacks == []
     lo, hi = rf.limit_bounds(p)
     assert lo <= c * c <= hi
 
@@ -812,6 +814,8 @@ def test_fallback_runs_on_a_real_input(monkeypatch):
 # sha256 of (c*, its bracket, limit_speed) as float.hex over 40 seeded sets,
 # D/d log-uniform in [0.3, 1e5]: published numbers must not drift silently
 PUBLISHED_SHA256 = "6d6062d40313798d25e7baeb1b0578446bc8404cac2163f81c7cdb46fd2fc92c"
+# sha256 of the strip threshold (c_L, its bracket, its tangency b), see below
+STRIP_SHA256 = "a4af00f53b579c14d2c48ed0721808b55d480fade993dc62eb7b318ceeedbf84"
 
 
 def test_published_speeds_keep_their_bits():
@@ -823,3 +827,20 @@ def test_published_speeds_keep_their_bits():
         res = rf.critical_speed(p)
         digest.update(" ".join(x.hex() for x in (res.c_star, *res.bracket, rf.limit_speed(p))).encode())
     assert digest.hexdigest() == PUBLISHED_SHA256
+    # the strip threshold: c_L, its bracket and its tangency b over 40 sets of
+    # its own, D/d log-uniform in [2.0001, 1e5], L uniform in [0.5, 30]; a
+    # strip with no threshold above c_KPP hashes as a marker
+    rng = np.random.default_rng(2012)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        d, mu, fp0 = (float(x) for x in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3)))
+        p = make(d * math.exp(rng.uniform(math.log(2.0001), math.log(1e5))), d=d, mu=mu, fp0=fp0)
+        L = float(rng.uniform(0.5, 30.0))
+        try:
+            res = rf.strip_critical_speed(p, L)
+        except NoTangencyError:
+            digest.update(b"no-tangency")
+            continue
+        digest.update(" ".join(x.hex() for x in (res.c_star, *res.bracket,
+                                                 res.tangency.beta)).encode())
+    assert digest.hexdigest() == STRIP_SHA256

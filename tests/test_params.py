@@ -232,3 +232,23 @@ def test_parse_config_non_finite_rejected(text):
 def test_parse_config_missing_equals():
     with pytest.raises(ConfigError, match="key=value"):
         rf.parse_config_text("D 4\n")
+
+
+def test_parse_config_file_is_parse_config_text_on_its_text(tmp_path):
+    text = "# fast road\nD=4\nmu=0.5\nnu=2\nfp0=1.5\n"
+    path = tmp_path / "params.cfg"
+    path.write_text(text, encoding="utf-8")
+    from_file, from_text = rf.parse_config_file(path), rf.parse_config_text(text)
+    # each parse builds its own logistic, so compare the numbers
+    assert ([(p.D, p.d, p.mu, p.nu, p.f_prime_0, p.reaction.f_prime_0) for p in (from_file, from_text)]
+            == [(4.0, 1.0, 0.5, 2.0, 1.5, 1.5)] * 2)
+
+
+def test_parse_config_file_names_an_unreadable_file(tmp_path):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(ConfigError, match="missing.cfg"):
+        rf.parse_config_file(missing)
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes("D=4  # é\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin.cfg"):
+        rf.parse_config_file(latin)

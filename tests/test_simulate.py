@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,20 @@ def test_grid_validation():
 def test_build_grid_rejects_non_dividing_spacing():
     with pytest.raises(ValueError, match="does not divide"):
         rf.build_grid(0.0, 1.0, 1.0, 0.3, 0.5, P1)
+
+
+@pytest.mark.parametrize("extent, spacing, name", [
+    ((-1.0, 1.0, 1.0), (0.0, 0.5), "dx"),
+    ((-1.0, 1.0, 1.0), (1e-300, 0.5), "dx"),        # dx^2 underflows to 0
+    ((-1.0, 1.0, 1.0), (0.5, math.nan), "dy"),
+    ((-1.0, 1.0, 1.0), (0.5, math.inf), "dy"),
+    ((-math.inf, 1.0, 1.0), (0.5, 0.5), "x_min"),
+    ((-1.0, 1.0, math.nan), (0.5, 0.5), "y_max"),
+    ((-1.0, 1.0, 1.0), (1e-160, 0.5), "CFL bound"),  # 1/dx^2 overflows
+])
+def test_build_grid_rejects_a_non_finite_or_vanishing_input(extent, spacing, name):
+    with pytest.raises(ValueError, match=name):
+        rf.build_grid(*extent, *spacing, P1)
 
 
 def test_cfl_dt_formula():
@@ -297,7 +312,15 @@ def test_run_blowup_names_the_step():
     angry = rf.ReactionFunction(lambda s: 50.0 * s, f_prime_0=1.0)
     with pytest.raises(BlowUpError) as excinfo:
         rf.run(P1, g, rf.InitialDatum.compact_bump(), t_end=5.0, reaction=angry)
-    assert excinfo.value.step is not None and excinfo.value.step > 0
+    k, t = excinfo.value.step, excinfo.value.t
+    assert k is not None and k > 0 and t == k * g.dt
+    # the one message of step and run: member, cap, both maxima, time and step
+    state = rf.init_state(g, rf.InitialDatum.compact_bump())
+    cap = simulate._blowup_cap(state.u, state.v, P1)
+    assert re.fullmatch(re.escape(f"state exceeded {cap} on v or nu/mu times that on u (max u ")
+                        + r"\S+, max v \S+"
+                        + re.escape(f") at t={t}, grid step {k}: the scheme is unstable"),
+                        str(excinfo.value))
 
 
 def test_run_validates_arguments():
