@@ -245,6 +245,28 @@ def _sized_extent(c_guess: float, t_end: float, dx: float) -> float:
     return math.ceil(cells) * (20.0 * dx)
 
 
+# cell updates one simulate call may make; validate --set nu=100 makes 1.5e10
+# on its steady-state grid, so the budget leaves it a factor of 6.7
+MAX_CELL_UPDATES = 10**11
+
+
+def _admit_work(grid: simulate.Grid, params: ModelParams, datum: simulate.InitialDatum,
+                n_steps: int, snapshot_every: int) -> None:
+    """Raise ConfigError when the run would make more than MAX_CELL_UPDATES cell updates.
+
+    Counted on the half that run integrates when it folds; the datum is
+    sampled only when the full domain is over the budget and the half is not.
+    """
+    per_column = simulate._updates_per_column(grid, params, n_steps, snapshot_every)
+    work = grid.nx * per_column
+    half = (grid.nx // 2 + 1) * per_column
+    if half <= MAX_CELL_UPDATES < work and simulate._folds(grid, simulate.init_state(grid, datum)):
+        work = half
+    if work > MAX_CELL_UPDATES:
+        raise ConfigError(f"{n_steps} steps on a {grid.nx}x{grid.ny} grid would make more than "
+                          f"the budget of {MAX_CELL_UPDATES:.0e} cell updates")
+
+
 def cmd_simulate(args) -> int:
     preset = PRESETS[args.preset]
     params, knobs = _resolve(args, preset.defaults)
@@ -261,6 +283,8 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     snapshot_every = knobs["snapshot_every"] or max(1, int(round(preset.snapshot_dt / grid.dt)))
+    datum = simulate.InitialDatum.compact_bump()
+    _admit_work(grid, params, datum, n_steps, snapshot_every)
     substeps = simulate.road_substeps(grid, params)
     print(f"# preset={args.preset} grid {grid.nx}x{grid.ny} dt={_fmt(grid.dt)} "
           f"steps={n_steps} road_substeps={substeps} "
@@ -268,7 +292,7 @@ def cmd_simulate(args) -> int:
     print(f"# dispersion prediction: c_kpp={_fmt(c_kpp(params))} "
           f"c_star={_fmt(prediction.c_star)} ({prediction.regime.value})")
     # a blow-up is reported by main, as every other failed computation
-    record = simulate.run(params, grid, simulate.InitialDatum.compact_bump(), t_end,
+    record = simulate.run(params, grid, datum, t_end,
                           snapshot_every=snapshot_every,
                           reaction=None if preset.reaction_off else params.reaction)
 

@@ -32,6 +32,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class _Logistic:
+    """The logistic f(s) = f'(0) * s * (1 - s), compared by value.
+
+    :func:`simulate.step` and :func:`simulate.run` recognise it by its type
+    and evaluate it fused into their own buffers, in the same arithmetic
+    order, (f'(0) * s) * (1 - s).
+    """
+
+    f_prime_0: float
+
+    def __call__(self, s):
+        return self.f_prime_0 * s * (1.0 - s)
+
+
+@dataclass(frozen=True)
+class _TimeScaled:
+    """f(s) / nu: a reaction in a time unit nu times longer, compared by value."""
+
+    func: Callable[[np.ndarray | float], np.ndarray | float]
+    nu: float
+
+    def __call__(self, s):
+        return self.func(s) / self.nu
+
+
+@dataclass(frozen=True)
 class ReactionFunction:
     """Growth term f(s) together with its linearisation rate f'(0).
 
@@ -55,11 +81,7 @@ class ReactionFunction:
         Its polynomial form is also the fixed negative extension outside
         [0,1] used by the simulator.
         """
-        return ReactionFunction(
-            func=lambda s: f_prime_0 * s * (1.0 - s),
-            f_prime_0=f_prime_0,
-            name="logistic",
-        )
+        return ReactionFunction(func=_Logistic(f_prime_0), f_prime_0=f_prime_0, name="logistic")
 
 
 @dataclass(frozen=True)
@@ -122,11 +144,8 @@ def normalize_nu(params: ModelParams) -> ModelParams:
         return params
     nu = params.nu
     f = params.reaction
-    scaled = ReactionFunction(
-        func=lambda s, _f=f.func, _nu=nu: _f(s) / _nu,
-        f_prime_0=f.f_prime_0 / nu,
-        name=f.name,
-    )
+    scaled = ReactionFunction(func=_TimeScaled(f.func, nu), f_prime_0=f.f_prime_0 / nu,
+                              name=f.name)
     return ModelParams(
         D=params.D / nu,
         d=params.d / nu,

@@ -38,6 +38,28 @@ single step, and k = 1 (whenever the road term does not bind) is the plain
 single-rate update bit for bit.  Record times, snapshots and blow-up steps
 still count grid steps of dt: a field step never spans a snapshot.
 
+Padded buffers.  A state lives in padded buffers with one ghost node on
+every side: the road in (..., nx+2) and the field in (..., nx+2, ny+2).
+:func:`run` allocates two of each and every temporary once and
+ping-pongs between them; :func:`step` allocates one such set per call.
+The field update runs over the flat contiguous range [W, W*(nx+1)) of
+the field buffer, W = ny+2, which is the padded rows 1..nx end to end:
+the x neighbours of a node sit at offsets +-W and its y neighbours at
++-1, and each operation is one ufunc pass written into a preallocated
+array.  The range also covers each row's two ghost columns, where the
+update computes junk (the +-1 offsets there reach into the neighbouring
+row).  The junk is finite, since every node it reads was written from
+the state, and harmless: the next ghost fill overwrites those columns
+before any interior node reads them, the blow-up check reads the range
+only to rule a blow-up out and otherwise rereads the interior, and
+snapshots read the interior alone.  The new field is added into the
+next buffer in place (c + t1 commutes, so the bits stay those of
+v + t1).  The logistic (``params._Logistic``, recognised by its type) is
+evaluated over the range fused into the buffers as (f'(0)*s)*(1-s), the
+operations of the callable in its order; any other reaction is called
+on the interior only, so it never sees a ghost node (the exchange ghost
+can be negative).
+
 Snapshots.  :func:`run` fixes its snapshot steps up front, 0, every
 ``snapshot_every`` steps and the last step, and advances from one to the
 next in field steps of at most k grid steps.  The record holds them as
@@ -51,12 +73,14 @@ Both Laplacians are evaluated in the mirror-symmetric form
 a state that is exactly symmetric under x -> -x to an exactly symmetric
 state.  :func:`run` uses this: when nx is odd and the sampled datum equals
 its own mirror image bit for bit, it integrates only the columns from the
-centre to x_max, with the centre column's mirror wall as the symmetry line,
-and unfolds the half once per snapshot, the last of which is the final
-state.  The record is then bit-identical to the full-domain integration at half the
-cost.  :func:`step` always advances the full domain.  It also advances a
-batch of states (leading axes on u and v) in one kernel call, each member
-bit for bit as it would advance alone.
+centre to x_max, with the centre column's mirror wall as the symmetry line.
+Each snapshot unfolds 1-D arrays only: the road, the trace, and the
+field's row integrals in y, from which it takes the mass; the full field
+is unfolded once, for the final state.  The record is then bit-identical
+to the full-domain integration at half the cost.  :func:`step` always
+advances the full domain.  It also advances a batch of states (leading
+axes on u and v) in one kernel call, each member bit for bit as it would
+advance alone.
 
 Unlike the dispersion algebra, everything here works in the original
 variables (nu need not be 1).
@@ -71,7 +95,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import BlowUpError, CflViolationError, EmptyDatumError
-from .params import ModelParams, ReactionFunction
+from .params import ModelParams, _Logistic
 
 __all__ = [
     "Grid",
@@ -356,17 +380,171 @@ def _blowup_cap(u0: np.ndarray, v0: np.ndarray, params: ModelParams) -> float | 
     return 10.0 * np.maximum(1.0, np.maximum(v0.max(axis=(-2, -1)), ratio * u0.max(axis=-1)))
 
 
-def _check_cap(u: np.ndarray, v: np.ndarray, cap, params: ModelParams, t: float,
+class _Buffers:
+    """The padded state of one grid, or a batch of them, and the kernel's temporaries.
+
+    u, of shape batch + (nx+2,), and v, of shape batch + (nx+2, ny+2), hold
+    the current road and field with one ghost node on every side, and
+    v_flat is v with its last two axes flattened; road and field are the
+    interiors.  :func:`_advance` writes the next state into u_next and
+    v_next (v_next_flat) and swaps the pairs; the road substeps ping-pong
+    between u and u_next.  lap and nu_v0 are the road's temporaries, t1
+    and t2 the field's, one value per node of the flat range.  Everything
+    is allocated once, here.
+    """
+
+    __slots__ = ("u", "v", "v_flat", "u_next", "v_next", "v_next_flat", "lap", "nu_v0",
+                 "t1", "t2")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray):
+        """Buffers shaped for the state (u, v), which is copied in."""
+        batch, (nx, ny) = u.shape[:-1], v.shape[-2:]
+        road, padded = (*batch, nx + 2), (*batch, nx + 2, ny + 2)
+        flat = (*batch, (nx + 2) * (ny + 2))
+        self.u, self.u_next = np.empty(road), np.empty(road)
+        self.v, self.v_next = np.empty(padded), np.empty(padded)
+        self.v_flat, self.v_next_flat = self.v.reshape(flat), self.v_next.reshape(flat)
+        self.lap, self.nu_v0 = np.empty((*batch, nx)), np.empty((*batch, nx))
+        self.t1, self.t2 = np.empty((*batch, nx * (ny + 2))), np.empty((*batch, nx * (ny + 2)))
+        self.u[..., 1:-1] = u
+        self.v[..., 1:-1, 1:-1] = v
+
+    @property
+    def road(self) -> np.ndarray:
+        return self.u[..., 1:-1]
+
+    @property
+    def field(self) -> np.ndarray:
+        return self.v[..., 1:-1, 1:-1]
+
+
+def _advance(
+    buf: _Buffers,
+    params: ModelParams,
+    dt: float,
+    dx: float,
+    dy: float,
+    reaction: Callable | None,
+    substeps: int = 1,
+) -> None:
+    """Advance the state held in buf by substeps*dt.
+
+    Any leading axes of the buffers are a batch of independent states.
+    Every operation is elementwise along the batch, so each state's result
+    is bit-identical to advancing it alone.  The road takes ``substeps``
+    forward-Euler steps of dt against the frozen trace v[..., 0]; the field
+    then takes one step of substeps*dt whose exchange ghost sees the mean
+    of the road states those substeps started from, so the road gains
+    exactly what the field loses.  With substeps=1 this is one plain
+    forward-Euler update (u/1 and 1*dt are exact).  The spacings come in
+    explicitly, not from a Grid, so a folded run steps its half domain with
+    the full grid's dt, dx and dy bit for bit.  A :class:`params._Logistic`
+    reaction is evaluated fused into the buffers; any other is called on the
+    field's interior.
+    """
+    dx2, dy2 = dx**2, dy**2
+    D, d, mu, nu = params.D, params.d, params.mu, params.nu
+    v = buf.v
+    nx, w = v.shape[-2] - 2, v.shape[-1]
+    # the exchange ghost column first sums the road states the substeps start from
+    ghost = v[..., 1:-1, 0]
+    nu_v0 = np.multiply(v[..., 1:-1, 1], nu, buf.nu_v0)
+    lap = buf.lap
+
+    # road: 3-point Laplacian in x, mirror ghosts at both ends, ping-ponging
+    # between u and u_next
+    src, dst = buf.u, buf.u_next
+    for s in range(substeps):
+        inner, new = src[..., 1:-1], dst[..., 1:-1]
+        if s:
+            ghost += inner
+        else:
+            ghost[...] = inner
+        src[..., 0] = src[..., 2]
+        src[..., -1] = src[..., -3]
+        np.add(src[..., 2:], src[..., :-2], lap)
+        lap -= inner
+        lap -= inner
+        lap *= dt * D / dx2
+        np.add(inner, lap, new)
+        np.multiply(inner, mu, lap)
+        np.subtract(nu_v0, lap, lap)
+        lap *= dt
+        new += lap
+        src, dst = dst, src
+    buf.u, buf.u_next = src, dst
+    field_dt = substeps * dt
+
+    # field ghosts: mirrors laterally and on top, the exchange flux
+    # (2dy/d)(mu u_bar - nu v0) below
+    if substeps > 1:
+        ghost /= substeps   # the mean; u/1 is u exactly
+    ghost *= mu
+    ghost -= nu_v0
+    ghost *= 2.0 * dy / d
+    ghost += v[..., 1:-1, 2]
+    v[..., 1:-1, -1] = v[..., 1:-1, -3]
+    # whole rows, corners included, so every node the flat range reads is written first
+    flat = buf.v_flat
+    flat[..., :w] = flat[..., 2 * w:3 * w]
+    flat[..., -w:] = flat[..., -3 * w:-2 * w]
+
+    # field: one pass per operation over the flat range [w, w(nx+1)) of the
+    # padded rows 1..nx, neighbours at offsets +-w in x and +-1 in y; the
+    # ghost columns inside the range get finite junk that the next ghost
+    # fill overwrites before anything reads it
+    n = nx * w
+    out = buf.v_next_flat[..., w:w + n]
+    c = flat[..., w:w + n]
+    t1, t2 = buf.t1, buf.t2
+    np.add(flat[..., 2 * w:], flat[..., :n], t1)
+    t1 -= c
+    t1 -= c
+    t1 *= field_dt * d / dx2
+    np.add(flat[..., w + 1:w + 1 + n], flat[..., w - 1:w - 1 + n], t2)
+    t2 -= c
+    t2 -= c
+    t2 *= field_dt * d / dy2
+    t1 += t2
+    f = getattr(reaction, "func", reaction)
+    if isinstance(f, _Logistic):
+        # (f'(0) s)(1 - s), with out as scratch
+        np.multiply(c, f.f_prime_0, t2)
+        np.subtract(1.0, c, out)
+        t2 *= out
+        t2 *= field_dt
+        t1 += t2
+    elif reaction is not None:
+        t1.reshape(*v.shape[:-2], nx, w)[..., 1:-1] += (
+            field_dt * np.asarray(reaction(v[..., 1:-1, 1:-1])))
+    np.add(c, t1, out)
+    buf.v, buf.v_next = buf.v_next, v
+    buf.v_flat, buf.v_next_flat = buf.v_next_flat, flat
+
+
+def _check_cap(buf: _Buffers, cap, params: ModelParams, t: float,
                step: int | None = None) -> None:
     """Raise BlowUpError unless each state of a batch has sup v <= cap and sup u <= nu/mu cap.
 
+    v is read first over :func:`_advance`'s flat range in one contiguous
+    pass.  The range holds every node of the field plus the ghost columns'
+    finite junk, so when it passes, the field passes; only otherwise is the
+    field itself read, and the check raises exactly when the field fails.
     A NaN fails both tests.  The one blow-up message of :func:`step` and
     :func:`run`: it names the first failing state ("state" alone for one
     state, "state[i]" in a batch), its cap, its max u and max v, the time
     t and, from :func:`run`, the grid step, which the error also carries.
     """
-    ok = (u.max(axis=-1) <= params.nu / params.mu * cap) & (v.max(axis=(-2, -1)) <= cap)
+    u, w = buf.u[..., 1:-1], buf.v.shape[-1]
+    # np.maximum.reduce is ndarray.max without its keyword handling, a
+    # measurable share of a one-state step
+    u_ok = np.maximum.reduce(u, -1) <= params.nu / params.mu * cap
+    ok = u_ok & (np.maximum.reduce(buf.v_flat[..., w:-w], -1) <= cap)
     # one state gives a numpy bool, whose .all() would slow the step measurably
+    if ok.all() if ok.ndim else ok:
+        return
+    v = buf.field
+    ok = u_ok & (v.max(axis=(-2, -1)) <= cap)
     if ok.all() if ok.ndim else ok:
         return
     # the first failing member, () for one state
@@ -379,75 +557,6 @@ def _check_cap(u: np.ndarray, v: np.ndarray, cap, params: ModelParams, t: float,
         step=step,
         t=t,
     )
-
-
-def _advance(
-    u: np.ndarray,
-    v: np.ndarray,
-    params: ModelParams,
-    dt: float,
-    dx: float,
-    dy: float,
-    reaction: ReactionFunction | None,
-    substeps: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (u, v) advanced by substeps*dt, in new arrays; the inputs are not written.
-
-    u has shape (..., nx) and v shape (..., nx, ny): any leading axes are a
-    batch of independent states.  Every operation is elementwise along the
-    batch, so each state's result is bit-identical to advancing it alone.
-    The road takes ``substeps`` forward-Euler steps of dt against the frozen
-    trace v[..., 0]; the field then takes one step of substeps*dt whose
-    exchange ghost sees the mean of the road states those substeps started
-    from, so the road gains exactly what the field loses.  With substeps=1
-    this is one plain forward-Euler update (u/1 and 1*dt are exact).  The
-    spacings come in explicitly, not from a Grid, so a folded run steps its
-    half domain with the full grid's dt, dx and dy bit for bit.
-    """
-    dx2, dy2 = dx**2, dy**2
-    D, d, mu, nu = params.D, params.d, params.mu, params.nu
-    v0 = v[..., 0]
-
-    # road: 3-point Laplacian in x, mirror ghosts at both ends; a padded copy,
-    # since two 0-d updates would slow a one-state step measurably
-    upad = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
-    src = u_sum = u
-    for s in range(substeps):
-        if s > 0:
-            u_sum = u_sum + src
-        upad[..., 1:-1] = src
-        upad[..., 0] = src[..., 1]
-        upad[..., -1] = src[..., -2]
-        lap = upad[..., 2:] + upad[..., :-2]
-        lap -= src
-        lap -= src
-        dst = src + (dt * D / dx2) * lap
-        dst += dt * (nu * v0 - mu * src)
-        src = dst
-    u_bar = u_sum / substeps
-    field_dt = substeps * dt
-
-    # field: ghost padding (mirrors laterally and on top, exchange flux below);
-    # the corners of pad are never read
-    pad = np.empty(v.shape[:-2] + (v.shape[-2] + 2, v.shape[-1] + 2))
-    pad[..., 1:-1, 1:-1] = v
-    pad[..., 0, 1:-1] = v[..., 1, :]
-    pad[..., -1, 1:-1] = v[..., -2, :]
-    pad[..., 1:-1, -1] = v[..., -2]
-    pad[..., 1:-1, 0] = v[..., 1] + (2.0 * dy / d) * (mu * u_bar - nu * v0)
-
-    t1 = pad[..., 2:, 1:-1] + pad[..., :-2, 1:-1]
-    t1 -= v
-    t1 -= v
-    t1 *= field_dt * d / dx2
-    t2 = pad[..., 1:-1, 2:] + pad[..., 1:-1, :-2]
-    t2 -= v
-    t2 -= v
-    t2 *= field_dt * d / dy2
-    t1 += t2
-    if reaction is not None:
-        t1 += field_dt * np.asarray(reaction(v))
-    return src, v + t1
 
 
 def step(
@@ -469,22 +578,27 @@ def step(
     :func:`_check_cap` (no grid step).  The cap is on v, and nu/mu times
     it on u; it is ``max_value`` (a number, or an array of the batch shape)
     or by default 10 x max(1, sup v, mu/nu sup u) of the member itself, so
-    a batch raises exactly when one of its members would raise alone.
+    a batch raises exactly when one of its members would raise alone.  The
+    new u and v are views of fresh padded buffers.
     """
     if state.u.shape[-1:] != (grid.nx,) or state.v.shape != state.u.shape + (grid.ny,):
         raise ValueError("state shape does not match grid")
     f = params.reaction if reaction is _USE_PARAMS else reaction
     cap = _blowup_cap(state.u, state.v, params) if max_value is None else max_value
-    u, v = _advance(state.u, state.v, params, grid.dt, grid.dx, grid.dy, f)
-    _check_cap(u, v, cap, params, state.t + grid.dt)
-    return FieldState(t=state.t + grid.dt, u=u, v=v)
+    buf = _Buffers(state.u, state.v)
+    _advance(buf, params, grid.dt, grid.dx, grid.dy, f)
+    _check_cap(buf, cap, params, state.t + grid.dt)
+    return FieldState(t=state.t + grid.dt, u=buf.u[..., 1:-1], v=buf.v[..., 1:-1, 1:-1])
+
+
+def _mass(u: np.ndarray, rows: np.ndarray, dx: float) -> float:
+    """Trapezoidal mass of the road u plus the field's row integrals ``rows``, in x."""
+    return float(np.trapezoid(u, dx=dx)) + float(np.trapezoid(rows, dx=dx))
 
 
 def total_mass(state: FieldState, grid: Grid) -> float:
     """Trapezoidal quadrature of u over the road plus v over the field."""
-    road = float(np.trapezoid(state.u, dx=grid.dx))
-    field = float(np.trapezoid(np.trapezoid(state.v, dx=grid.dy, axis=1), dx=grid.dx))
-    return road + field
+    return _mass(state.u, np.trapezoid(state.v, dx=grid.dy, axis=-1), grid.dx)
 
 
 def run(
@@ -527,10 +641,9 @@ def run(
     cap = _blowup_cap(state0.u, state0.v, params)
 
     n_steps = _step_count(t_end, grid.dt)
-    fold = grid.nx % 2 == 1 and _is_mirror_symmetric(state0.u, state0.v)
+    fold = _folds(grid, state0)
     first = grid.nx // 2 if fold else 0
-    # copied: a custom datum's samplers may return the caller's own arrays
-    u, v = state0.u[first:].copy(), state0.v[first:].copy()
+    buf = _Buffers(state0.u[first:], state0.v[first:])
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     substeps = road_substeps(grid, params)
 
@@ -544,16 +657,20 @@ def run(
         while k < target:
             # one field step spans m grid steps, never past the next snapshot
             m = min(substeps, target - k)
-            u, v = _advance(u, v, params, dt, dx, dy, f, m)
+            _advance(buf, params, dt, dx, dy, f, m)
             k += m
-            _check_cap(u, v, cap, params, k * dt, k)
-        full_u, full_v = (_unfold(u), _unfold(v)) if fold else (u, v)
-        snapshot = FieldState(t=k * dt, u=full_u, v=full_v)
-        mass[j] = total_mass(snapshot, grid)
-        road[j] = snapshot.u
-        field_trace[j] = snapshot.v[:, 0]
+            _check_cap(buf, cap, params, k * dt, k)
+        # the mass from the half's row integrals: a folded run unfolds 1-D arrays only
+        u, v = buf.road, buf.field
+        rows, trace = np.trapezoid(v, dx=dy, axis=-1), v[:, 0]
+        if fold:
+            u, rows, trace = _unfold(u), _unfold(rows), _unfold(trace)
+        mass[j] = _mass(u, rows, dx)
+        road[j] = u
+        field_trace[j] = trace
+    final = FieldState(t=k * dt, u=road[-1].copy(), v=_unfold(v) if fold else v.copy())
     return RunRecord(times=times, mass=mass, road=road, field_trace=field_trace,
-                     final_state=snapshot)
+                     final_state=final)
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -565,6 +682,25 @@ def _step_count(t_end: float, dt: float) -> int:
     if not math.isfinite(n):
         raise ValueError(f"t_end={t_end} is not a finite number of steps of dt={dt}")
     return max(0, int(math.ceil(n - 1e-9)))
+
+
+def _updates_per_column(grid: Grid, params: ModelParams, n_steps: int,
+                        snapshot_every: int) -> int:
+    """Cell updates :func:`run` makes per grid column it integrates.
+
+    ny field cells per field step plus one road node per road substep (a
+    grid step); a field step spans up to :func:`road_substeps` grid steps
+    and never crosses a snapshot.
+    """
+    k = road_substeps(grid, params)
+    whole, rest = divmod(n_steps, snapshot_every)
+    field_steps = whole * -(-snapshot_every // k) + -(-rest // k)
+    return grid.ny * field_steps + n_steps
+
+
+def _folds(grid: Grid, state: FieldState) -> bool:
+    """True when :func:`run` integrates only the columns from the centre to x_max."""
+    return grid.nx % 2 == 1 and _is_mirror_symmetric(state.u, state.v)
 
 
 def _is_mirror_symmetric(u: np.ndarray, v: np.ndarray) -> bool:

@@ -153,3 +153,37 @@ def ols_slope_intercept(t: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     tbar, xbar = t.mean(), x.mean()
     slope = float(((t - tbar) * (x - xbar)).sum() / ((t - tbar) ** 2).sum())
     return slope, float(xbar - slope * tbar)
+
+
+def reference_advance(u: np.ndarray, v: np.ndarray, params: ModelParams, dt: float, dx: float,
+                      dy: float, reaction, substeps: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) advanced by substeps*dt with unpadded, freshly allocated arrays.
+
+    The simulation kernel written out on the (..., nx) and (..., nx, ny)
+    arrays themselves, one numpy expression per term, in the arithmetic
+    order the package keeps: it calls a reaction on the field only.  The
+    package's padded kernel must match it bit for bit.
+    """
+    dx2, dy2 = dx**2, dy**2
+    D, d, mu, nu = params.D, params.d, params.mu, params.nu
+    v0 = v[..., 0]
+    src = u_sum = u
+    for s in range(substeps):
+        if s > 0:
+            u_sum = u_sum + src
+        left = np.concatenate([src[..., 1:2], src[..., :-1]], axis=-1)
+        right = np.concatenate([src[..., 1:], src[..., -2:-1]], axis=-1)
+        lap = (right + left) - src - src
+        src = src + (dt * D / dx2) * lap + dt * (nu * v0 - mu * src)
+    u_bar = u_sum / substeps
+    field_dt = substeps * dt
+    up = np.concatenate([v[..., 1:2, :], v[..., :-1, :]], axis=-2)
+    down = np.concatenate([v[..., 1:, :], v[..., -2:-1, :]], axis=-2)
+    ghost = v[..., 1] + (2.0 * dy / d) * (mu * u_bar - nu * v0)
+    below = np.concatenate([ghost[..., None], v[..., :-1]], axis=-1)
+    above = np.concatenate([v[..., 1:], v[..., -2:-1]], axis=-1)
+    t1 = ((down + up) - v - v) * (field_dt * d / dx2)
+    t1 = t1 + ((above + below) - v - v) * (field_dt * d / dy2)
+    if reaction is not None:
+        t1 = t1 + field_dt * np.asarray(reaction(v))
+    return src, v + t1

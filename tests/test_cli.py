@@ -1,10 +1,12 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
 import roadfield as rf
+from roadfield import cli, simulate
 from roadfield.cli import _steady_t_end, main, validate_suites
 
 
@@ -103,6 +105,8 @@ BAD_VALUES = {
     # t_end / dt overflows: the sized domain and the step count are not finite
     "enhanced-t_end-huge": ("simulate", "--preset", "enhanced", "--set", "t_end=1e308"),
     "kpp-t_end-huge": ("simulate", "--preset", "kpp", "--set", "t_end=1e308"),
+    # finite, but about 5e16 cell updates
+    "kpp-t_end-1e9": ("simulate", "--preset", "kpp", "--set", "t_end=1e9"),
 }
 
 
@@ -340,6 +344,51 @@ def test_simulate_header_counts_the_steps_run_takes(tmp_path, capsys):
     t_last = float((tmp_path / "mass.csv").read_text().splitlines()[-1].split(",")[0])
     assert steps == 2
     assert t_last == steps * dt
+
+
+def test_an_unbounded_run_is_refused_within_a_second(tmp_path, capsys):
+    start = time.perf_counter()
+    assert main(["simulate", "--preset", "kpp", "--set", "t_end=1e9",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "budget" in capsys.readouterr().err
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise _Admitted
+
+
+@pytest.mark.parametrize("preset", ["conservation", "kpp", "enhanced"])
+def test_the_work_budget_admits_every_preset(tmp_path, monkeypatch, preset):
+    monkeypatch.setattr(simulate, "run", _refuse_to_run)
+    with pytest.raises(_Admitted):
+        main(["simulate", "--preset", preset, "--out-dir", str(tmp_path)])
+
+
+def test_the_work_budget_admits_a_strong_exchange():
+    # validate --set nu=100 integrates its steady grid, folded, to t = 1000
+    params = rf.ModelParams(D=1.0, d=1.0, mu=1.0, nu=100.0)
+    grid = simulate.build_grid(-30.0, 30.0, 15.0, 0.25, 0.25, params, 0.4)
+    n_steps = simulate._step_count(_steady_t_end(params), grid.dt)
+    updates = (grid.nx // 2 + 1) * simulate._updates_per_column(grid, params, n_steps, 1000)
+    assert 1e10 < updates <= cli.MAX_CELL_UPDATES
+
+
+@pytest.mark.parametrize("x_max, admitted", [(40.0, True), (41.0, False)])
+def test_the_work_budget_counts_the_folded_half(tmp_path, monkeypatch, x_max, admitted):
+    # a budget of exactly the half domain's count: the centred bump folds on
+    # [-40, 40] and not on [-40, 41]
+    params = rf.ModelParams(D=1.0, d=1.0, mu=1.0)
+    grid = simulate.build_grid(-40.0, x_max, 8.0, 0.5, 0.5, params, 0.4)
+    per_column = simulate._updates_per_column(grid, params,
+                                              simulate._step_count(10.0, grid.dt), 20)
+    monkeypatch.setattr(cli, "MAX_CELL_UPDATES", (grid.nx // 2 + 1) * per_column)
+    assert main(["simulate", "--preset", "kpp", *_SHRUNK, "--set", "x_min=-40",
+                 "--set", f"x_max={x_max}", "--out-dir", str(tmp_path)]) == (0 if admitted else 2)
 
 
 def test_simulate_unknown_preset(tmp_path):

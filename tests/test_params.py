@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,25 @@ def test_default_reaction_is_matching_logistic():
     assert p.reaction.name == "logistic"
     assert p.reaction(0.5) == pytest.approx(3.0 * 0.25)
     assert p.reaction.f_prime_0 == 3.0
+
+
+def test_equal_models_compare_equal():
+    # the logistic and the nu-scaled wrapper are values, not fresh lambdas
+    assert rf.parse_config_text("D=4") == rf.parse_config_text("D=4")
+    assert rf.ModelParams(D=4, d=1, mu=1) == rf.ModelParams(D=4, d=1, mu=1)
+    assert rf.ModelParams(D=4, d=1, mu=1, f_prime_0=2.0) != rf.ModelParams(D=4, d=1, mu=1)
+    p = rf.ModelParams(D=4, d=1, mu=1, nu=2.0)
+    assert rf.normalize_nu(p) == rf.normalize_nu(p)
+    assert rf.normalize_nu(p).reaction != rf.normalize_nu(replace(p, nu=3.0)).reaction
+
+
+@given(s=st.floats(-2.0, 2.0), fp0=st.floats(0.01, 20.0), nu=st.floats(0.1, 10.0))
+def test_reaction_values_keep_the_lambdas_bits(s, fp0, nu):
+    # the arithmetic order of the lambdas the value types replace
+    logistic = rf.ReactionFunction.logistic(fp0)
+    assert logistic(s) == fp0 * s * (1.0 - s)
+    scaled = rf.normalize_nu(rf.ModelParams(D=1, d=1, mu=1, nu=nu, f_prime_0=fp0)).reaction
+    assert scaled(s) == (fp0 * s * (1.0 - s)) / nu
 
 
 # --- normalize_nu ------------------------------------------------------------
@@ -239,9 +259,9 @@ def test_parse_config_file_is_parse_config_text_on_its_text(tmp_path):
     path = tmp_path / "params.cfg"
     path.write_text(text, encoding="utf-8")
     from_file, from_text = rf.parse_config_file(path), rf.parse_config_text(text)
-    # each parse builds its own logistic, so compare the numbers
-    assert ([(p.D, p.d, p.mu, p.nu, p.f_prime_0, p.reaction.f_prime_0) for p in (from_file, from_text)]
-            == [(4.0, 1.0, 0.5, 2.0, 1.5, 1.5)] * 2)
+    assert from_file == from_text
+    assert ((from_text.D, from_text.d, from_text.mu, from_text.nu, from_text.f_prime_0)
+            == (4.0, 1.0, 0.5, 2.0, 1.5))
 
 
 def test_parse_config_file_names_an_unreadable_file(tmp_path):

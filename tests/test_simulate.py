@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 import roadfield as rf
 from roadfield import simulate
 from roadfield.errors import (
@@ -342,9 +344,9 @@ def _spy_advance(monkeypatch) -> list[tuple[int, int]]:
     calls: list[tuple[int, int]] = []
     kernel = simulate._advance
 
-    def spy(u, v, params, dt, dx, dy, reaction, substeps=1):
-        calls.append((u.shape[0], substeps))
-        return kernel(u, v, params, dt, dx, dy, reaction, substeps)
+    def spy(buf, params, dt, dx, dy, reaction, substeps=1):
+        calls.append((buf.road.shape[0], substeps))
+        return kernel(buf, params, dt, dx, dy, reaction, substeps)
 
     monkeypatch.setattr(simulate, "_advance", spy)
     return calls
@@ -578,6 +580,19 @@ def test_multirate_keeps_the_single_rate_schedule(monkeypatch):
     assert sum(substeps) == n_steps and max(substeps) == 5
 
 
+@pytest.mark.parametrize("D, snapshot_every", [(1.0, 7), (10.0, 7), (10.0, 3), (10.0, 1000)])
+def test_updates_per_column_counts_what_the_kernel_does(monkeypatch, D, snapshot_every):
+    params = rf.ModelParams(D=D, d=1.0, mu=1.0)
+    grid = fast_road_grid(params)
+    calls = _spy_advance(monkeypatch)
+    rf.run(params, grid, rf.InitialDatum.compact_bump(), t_end=101 * grid.dt,
+           snapshot_every=snapshot_every)
+    width = grid.nx // 2 + 1
+    assert {w for w, _ in calls} == {width}
+    assert (sum(width * grid.ny + width * m for _, m in calls)
+            == width * simulate._updates_per_column(grid, params, 101, snapshot_every))
+
+
 def test_multirate_blowup_names_a_grid_step():
     grid = fast_road_grid(dx=0.5)
     angry = rf.ReactionFunction(lambda s: 50.0 * s, f_prime_0=1.0)
@@ -626,6 +641,13 @@ def test_front_speed_in_the_sqrt_D_regime():
 # --- kernel ---------------------------------------------------------------------------
 
 
+def _advance(u, v, params, dt, dx, dy, reaction, substeps):
+    """(u, v) advanced by the kernel on buffers of their own."""
+    buf = simulate._Buffers(u, v)
+    simulate._advance(buf, params, dt, dx, dy, reaction, substeps)
+    return buf.road, buf.field
+
+
 @pytest.mark.parametrize("substeps", [1, 5])
 def test_advance_leaves_its_inputs_unchanged(substeps):
     # run() and the record share arrays: nothing may write to an array once returned
@@ -633,8 +655,7 @@ def test_advance_leaves_its_inputs_unchanged(substeps):
     rng = np.random.default_rng(31)
     u, v = rng.random(grid.nx), rng.random((grid.nx, grid.ny))
     u0, v0 = u.copy(), v.copy()
-    new_u, new_v = simulate._advance(u, v, P10, grid.dt, grid.dx, grid.dy, P10.reaction,
-                                     substeps)
+    new_u, new_v = _advance(u, v, P10, grid.dt, grid.dx, grid.dy, P10.reaction, substeps)
     assert np.array_equal(u, u0) and np.array_equal(v, v0)
     assert not np.shares_memory(new_u, u) and not np.shares_memory(new_v, v)
     assert not np.array_equal(new_u, u0) and not np.array_equal(new_v, v0)
@@ -673,6 +694,132 @@ def test_step_keeps_random_ordered_pairs_ordered_and_nonnegative(
         hi = rf.step(hi, params, grid, reaction=reaction)
         assert rf.is_ordered(lo, hi)
         assert lo.u.min() >= 0.0 and lo.v.min() >= 0.0
+
+
+def _sqrt_reaction():
+    # warns on a negative input, which only a ghost node could hold
+    return rf.ReactionFunction(lambda s: np.sqrt(s) * (1.0 - s), f_prime_0=1.0)
+
+
+@pytest.mark.parametrize("reaction", ["logistic", "sqrt", None])
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("nx, ny", [(3, 3), (3, 7), (8, 3), (12, 5)])
+def test_padded_kernel_equals_the_reference_kernel(nx, ny, substeps, batch, reaction):
+    # four chained calls on one set of buffers, so each call reads what the
+    # last one left in the ghosts; nx = 3 and ny = 3 are the smallest grids,
+    # nx = 8 is even (no fold)
+    f = {"logistic": P10.reaction, "sqrt": _sqrt_reaction(), None: None}[reaction]
+    rng = np.random.default_rng(nx * 100 + ny)
+    u, v = _random_batch(rng, batch, nx, ny)
+    buf = simulate._Buffers(u, v)
+    for _ in range(4):
+        simulate._advance(buf, P10, 0.002, 0.5, 0.25, f, substeps)
+        u, v = oracles.reference_advance(u, v, P10, 0.002, 0.5, 0.25, f, substeps)
+        assert np.array_equal(buf.road, u) and np.array_equal(buf.field, v)
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 3), (4, 3), (3, 6)])
+def test_batch_of_two_on_the_smallest_grids_steps_as_each_member_alone(nx, ny):
+    grid = rf.Grid(x_min=-1.0, x_max=1.0, y_max=1.0, nx=nx, ny=ny, dt=0.01)
+    u, v = _random_batch(np.random.default_rng(nx + ny), (2,), nx, ny)
+    out = rf.step(rf.FieldState(t=0.0, u=u, v=v), P10, grid)
+    for b in range(2):
+        alone = rf.step(rf.FieldState(t=0.0, u=u[b], v=v[b]), P10, grid)
+        assert np.array_equal(out.u[b], alone.u) and np.array_equal(out.v[b], alone.v)
+
+
+@pytest.mark.parametrize("D", [0.5, 2.2])
+@pytest.mark.parametrize("nx, ny", [(3, 3), (49, 3), (3, 25), (48, 25)])
+def test_run_equals_iterated_step_on_both_sides_of_2d(nx, ny, D):
+    # D = 0.5 < 2d < D = 2.2, both with one road step per field step
+    params = rf.ModelParams(D=D, d=1.0, mu=1.1, nu=0.9, f_prime_0=0.95)
+    half = 0.25 * (nx - 1)
+    grid = rf.build_grid(-half, half, 0.5 * (ny - 1), 0.5, 0.5, params, 0.4)
+    assert (grid.nx, grid.ny) == (nx, ny) and simulate.road_substeps(grid, params) == 1
+    datum = rf.InitialDatum.compact_bump(width=4.0, amplitude_u=0.5)
+    rec = rf.run(params, grid, datum, t_end=40 * grid.dt, snapshot_every=7)
+    states = _iterate_step(params, grid, datum, 40, 7)
+    assert np.array_equal(rec.mass, [rf.total_mass(s, grid) for s in states])
+    assert np.array_equal(rec.road, [s.u for s in states])
+    assert np.array_equal(rec.field_trace, [s.v[:, 0] for s in states])
+    assert np.array_equal(rec.final_state.v, states[-1].v)
+
+
+def test_a_custom_reaction_never_sees_a_ghost_node():
+    # u = 0 under a field that is 1 on the road row: the exchange ghost
+    # v[1] + (2dy/d)(mu u - nu v[0]) is negative, and sqrt would warn on it
+    grid = small_grid()
+    datum = rf.InitialDatum.custom(lambda x: np.zeros_like(x),
+                                   lambda X, Y: np.where(Y == 0.0, 1.0, 0.0))
+    state = rf.init_state(grid, datum)
+    ghost = state.v[:, 1] + 2.0 * grid.dy / P1.d * (P1.mu * state.u - P1.nu * state.v[:, 0])
+    assert ghost.min() < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = rf.run(P1, grid, datum, t_end=20 * grid.dt, snapshot_every=5,
+                     reaction=_sqrt_reaction())
+        rf.step(state, P1, grid, reaction=_sqrt_reaction())
+    assert np.isfinite(rec.final_state.v).all() and rec.final_state.v.min() >= 0.0
+
+
+def test_over_cfl_blow_up_keeps_its_step_and_message():
+    # dt at 2.5 times the stability bound; the step and every digit of the
+    # message are those of the unpadded kernel
+    base = small_grid()
+    bad = rf.Grid(x_min=base.x_min, x_max=base.x_max, y_max=base.y_max,
+                  nx=base.nx, ny=base.ny, dt=2.5 * rf.cfl_dt(base, P1, 1.0))
+    state = rf.init_state(bad, rf.InitialDatum.compact_bump())
+    cap = simulate._blowup_cap(state.u, state.v, P1)
+    with pytest.raises(BlowUpError) as excinfo:
+        for k in range(1, 500):
+            state = rf.step(state, P1, bad, max_value=cap)
+    assert k == 13
+    assert str(excinfo.value) == (
+        "state exceeded 10.0 on v or nu/mu times that on u (max u 1.5061861232518388, "
+        "max v 11.780113507309935) at t=1.4130434782608698: the scheme is unstable")
+    # a run whose reaction outgrows its CFL term, folded and multirate
+    angry = rf.ReactionFunction(lambda s: 50.0 * s, f_prime_0=1.0)
+    with pytest.raises(BlowUpError) as excinfo:
+        rf.run(P10, fast_road_grid(dx=0.5), rf.InitialDatum.compact_bump(), t_end=5.0,
+               snapshot_every=10, reaction=angry)
+    assert excinfo.value.step == 15
+    assert str(excinfo.value) == (
+        "state exceeded 10.0 on v or nu/mu times that on u (max u 0.08179595784629683, "
+        "max v 10.672041921629578) at t=0.07500000000000001, grid step 15: the scheme is "
+        "unstable")
+
+
+def test_ghost_junk_above_the_cap_does_not_blow_up():
+    # a road at 1 over an empty field with nu/mu = 4: the exchange ghost is
+    # (2dy/d) mu u = 1, so the junk the update leaves in the ghost column
+    # exceeds the cap 0.25 while every node stays under it
+    params = rf.ModelParams(D=1.0, d=1.0, mu=1.0, nu=4.0)
+    grid = rf.build_grid(-2.0, 2.0, 2.0, 0.5, 0.5, params, 0.4)
+    u, v = np.ones(grid.nx), np.zeros((grid.nx, grid.ny))
+    buf = simulate._Buffers(u, v)
+    simulate._advance(buf, params, grid.dt, grid.dx, grid.dy, params.reaction)
+    w = buf.v.shape[-1]
+    assert buf.v_flat[w:-w].max() > 0.25 >= buf.field.max()
+    out = rf.step(rf.FieldState(t=0.0, u=u, v=v), params, grid, max_value=0.25)
+    assert out.u.max() <= 1.0 and out.v.max() <= 0.25
+
+
+def test_a_run_with_an_equal_custom_logistic_is_bit_identical():
+    # the lambda takes the generic reaction call, the default the fused one
+    params = rf.ModelParams(D=1.5, d=1.0, mu=1.1, nu=0.9, f_prime_0=0.95)
+    grid = rf.build_grid(-12.0, 12.0, 6.0, 0.25, 0.25, params, 0.4)
+    custom = rf.ReactionFunction(lambda s: 0.95 * s * (1.0 - s), f_prime_0=0.95)
+    assert custom != params.reaction
+    for center in (0.0, 1.5):
+        datum = rf.InitialDatum.compact_bump(center=center, amplitude_u=0.5)
+        fused = rf.run(params, grid, datum, t_end=100 * grid.dt, snapshot_every=30)
+        generic = rf.run(params, grid, datum, t_end=100 * grid.dt, snapshot_every=30,
+                         reaction=custom)
+        assert np.array_equal(fused.mass, generic.mass)
+        assert np.array_equal(fused.road, generic.road)
+        assert np.array_equal(fused.field_trace, generic.field_trace)
+        assert np.array_equal(fused.final_state.v, generic.final_state.v)
 
 
 # --- batches -------------------------------------------------------------------------
@@ -716,13 +863,12 @@ def test_batched_advance_equals_each_member_advanced_alone(substeps):
     grid = fast_road_grid(dx=0.5)
     u, v = _random_batch(np.random.default_rng(37), (2, 3), grid.nx, grid.ny)
     u0, v0 = u.copy(), v.copy()
-    new_u, new_v = simulate._advance(u, v, P10, grid.dt, grid.dx, grid.dy, P10.reaction,
-                                     substeps)
+    new_u, new_v = _advance(u, v, P10, grid.dt, grid.dx, grid.dy, P10.reaction, substeps)
     assert np.array_equal(u, u0) and np.array_equal(v, v0)
     for i in range(2):
         for j in range(3):
-            alone_u, alone_v = simulate._advance(u[i, j], v[i, j], P10, grid.dt, grid.dx,
-                                                 grid.dy, P10.reaction, substeps)
+            alone_u, alone_v = _advance(u[i, j], v[i, j], P10, grid.dt, grid.dx, grid.dy,
+                                        P10.reaction, substeps)
             assert np.array_equal(new_u[i, j], alone_u)
             assert np.array_equal(new_v[i, j], alone_v)
 
