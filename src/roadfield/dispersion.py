@@ -51,7 +51,9 @@ derived from the system once it is built:
 
 One bisection, ``_bisect_gap``, brackets every root here, including the
 crossings in :func:`intersections` and the window speeds in
-:func:`gamma_plus_threshold`.  Every branch of the form
+:func:`gamma_plus_threshold`, and one doubling, ``_expand``, finds every
+upper bracket end.  Each search stops at its width or at float
+resolution, or raises :class:`BracketError`.  Every branch of the form
 (c +/- sqrt(disc))/scale is ``_root``.
 """
 
@@ -325,10 +327,13 @@ def _half_plane(params: ModelParams) -> _Tangency:
     """The half-plane's system, h(b) = mu d b/(1 + d b), b > -1/d.
 
     Its b interval is [max(beta_D(c), -beta_kpp(c)), beta_kpp(c)], where the
-    road curve and the field circle both exist.
+    road curve and the field circle both exist, cut where 1 + d b = 2^-50:
+    beta_D rounds onto the pole b = -1/d of h once mu/f'(0) or f'(0)/mu
+    passes about 1e17 (D = 4d), and the gap would divide by zero there.
     """
     d = params.d
     mud = params.mu * d
+    floor = (2.0**-50 - 1.0) / d
 
     def h(b):
         # times the reciprocal: Newton's last rounding sets c*'s final digits
@@ -340,7 +345,7 @@ def _half_plane(params: ModelParams) -> _Tangency:
 
     def b_range(c: float) -> tuple[float, float]:
         reach = beta_kpp(c, params)
-        return max(beta_D(c, params), -reach), reach
+        return max(beta_D(c, params), -reach, floor), reach
 
     return _Tangency(params.D, d, h, slopes, b_range, d, params.f_prime_0,
                      c_kpp(params) ** 2, -1.0 / d)
@@ -360,10 +365,14 @@ def _lower_root(system: _Tangency, c: float, b):
     """Lower field root q/((c + sqrt(disc))/2), q = f'(0) + d b^2, float or array b.
 
     The product of the two roots over the upper root: the difference form
-    (c - sqrt(disc))/(2 field) loses its digits once c is large (large D),
-    and this one holds at field = 0, where it is q/c.
+    (c - sqrt(disc))/(2 field) loses its digits once c is large (large D).
+    On the limit parabola (field = 0) the upper root is c itself, so the
+    root is q/c with no discriminant built; c is a numpy scalar there, so
+    c = 0 (a limit bracket whose lower end underflowed) gives the gap -inf,
+    as the circle's root did, not a ZeroDivisionError.
     """
-    return (system.fp0 + system.d * b * b) / _root(c, _field_disc(system, c, b), 2.0)
+    upper = np.float64(c) if system.field == 0.0 else _root(c, _field_disc(system, c, b), 2.0)
+    return (system.fp0 + system.d * b * b) / upper
 
 
 def _gap(system: _Tangency, c: float, b):
@@ -375,11 +384,16 @@ def _gap(system: _Tangency, c: float, b):
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximisation of a unimodal f on [a, b]."""
+    """Golden-section maximisation of a unimodal f on [a, b].
+
+    Stops like :func:`_bisect_gap`: at width tol, or earlier when a golden
+    point rounds onto an end, so a tol below the float spacing ends at
+    float resolution, not in a loop.
+    """
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > tol and a < x1 and x2 < b:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
@@ -456,6 +470,21 @@ def _bisect_gap(gap: Callable[[float], float], lo: float, hi: float, tol: float)
         else:
             lo = mid
     return lo, hi
+
+
+def _expand(past: Callable[[float], bool], base: float, x: float, what: str) -> float:
+    """The first of x, base + 2(x - base), base + 4(x - base), ... at which ``past`` holds.
+
+    ``past`` is the positive test (gap > 0), so a nan ends no search.
+    Raises :class:`BracketError` naming ``what`` once the step x - base is
+    not a finite positive number (x rounds onto base, or base overflowed)
+    or passes 2^60 max(1, |base|).
+    """
+    while 0.0 < x - base <= 2.0**60 * max(1.0, abs(base)):
+        if past(x):
+            return x
+        x = base + 2.0 * (x - base)
+    raise BracketError(f"no bracket for {what} above {base}: the step reached {x - base}")
 
 
 # --- the speed: certified Newton, else bisection ---------------------------------------
@@ -564,7 +593,8 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
     :func:`curve_gap` changes sign.  When that certificate fails the root
     is bisected on the same [c_KPP, c_hi] and the speed is the bracket
     midpoint.  The returned tangency point records b and the lower field
-    branch there.
+    branch there.  When the doubling step cannot grow (c_KPP + 1 rounds
+    onto c_KPP, or c_KPP overflows) it raises :class:`BracketError`.
     """
     _require_normalized(params)
     if not tol > 0:
@@ -574,13 +604,7 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
         return SpeedResult(c_star=ck, regime=Regime.SUB_THRESHOLD, bracket=(ck, ck), tol=tol)
     system = _half_plane(params)
     # a positive coarse max is a positive gap, so c_hi is an upper end for both
-    hi = ck + 1.0
-    while _gap_and_argmax(system, hi, coarse=True)[0] <= 0.0:
-        hi = ck + 2.0 * (hi - ck)
-        if hi > 2.0**60 * ck:
-            raise BracketError(
-                f"no curve crossing found up to c={2.0**60 * ck}; parameters are inconsistent"
-            )
+    hi = _expand(lambda c: _gap_and_argmax(system, c, coarse=True)[0] > 0.0, ck, ck + 1.0, "c*")
     # the public curve_gap is the half-plane's gap: the certificate is its sign change
     speed = _tangent_speed(system, ck, hi, tol, gap=partial(curve_gap, params=params))
     return _super_threshold(*speed, tol, params, Branch.FIELD_MINUS)
@@ -672,9 +696,7 @@ def gamma_plus_threshold(params: ModelParams) -> GammaPlusClassification:
     def shape(t: float) -> float:
         return t / ((t * t + ck2) * (t + 2.0))
 
-    t_hi = 1.0
-    while t_hi * t_hi * (t_hi + 1.0) <= ck2:
-        t_hi *= 2.0
+    t_hi = _expand(lambda t: t * t * (t + 1.0) > ck2, 0.0, 1.0, "the window's peak")
     t_peak, peak = _golden_max(shape, 0.0, t_hi, 1e-13 * max(1.0, t_hi))
     delta = 4.0 * mu * d * d * peak
     if not delta < mu * d / params.f_prime_0:
@@ -696,9 +718,7 @@ def gamma_plus_threshold(params: ModelParams) -> GammaPlusClassification:
     else:
         # crossing falls through t1 and rises through t2
         t1 = root(lambda t: crossing(t) <= 0.0, 0.0, t_peak)
-        hi = max(2.0 * t_peak, 1.0)
-        while crossing(hi) <= 0.0:
-            hi *= 2.0
+        hi = _expand(lambda t: crossing(t) > 0.0, 0.0, max(2.0 * t_peak, 1.0), "the window's top")
         t2 = root(lambda t: crossing(t) >= 0.0, t_peak, hi)
     return GammaPlusClassification(
         delta=delta,
@@ -823,15 +843,18 @@ def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL
 def _limit(params: ModelParams) -> _Tangency:
     """The large-D limit's system: the half-plane's with road = 1 and field = 0.
 
-    Its b interval runs from the road curve's left end to where the
-    parabola passes the road's supremum (c + sqrt(c^2 + 4 mu))/2, beyond
-    which the gap is negative.
+    Its b interval runs from the road curve's left end, cut where
+    1 + d b = 2^-50 like the half-plane's, to where the parabola passes the
+    road's supremum (c + sqrt(c^2 + 4 mu))/2, beyond which the gap is
+    negative.
     """
     mu, d, fp0 = params.mu, params.d, params.f_prime_0
+    floor = (2.0**-50 - 1.0) / d
 
     def b_range(c: float) -> tuple[float, float]:
         road_sup = (c + math.sqrt(c * c + 4.0 * mu)) / 2.0
-        return -c * c / (d * (c * c + 4.0 * mu)), math.sqrt(max((c * road_sup - fp0) / d, 0.0))
+        return (max(-c * c / (d * (c * c + 4.0 * mu)), floor),
+                math.sqrt(max((c * road_sup - fp0) / d, 0.0)))
 
     return replace(_half_plane(params), road=1.0, field=0.0, ck2=0.0, b_range=b_range)
 

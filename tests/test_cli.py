@@ -1,12 +1,16 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import roadfield as rf
-from roadfield import cli, simulate
+from roadfield import cli, dispersion, simulate
 from roadfield.cli import _steady_t_end, main, validate_suites
 
 
@@ -286,6 +290,60 @@ def test_limit_row(tmp_path):
     c_limit, c_sq, lo, hi = (float(v) for v in row[3:7])
     assert lo <= c_sq <= hi
     assert c_limit == pytest.approx(math.sqrt(c_sq), rel=1e-12)
+
+
+# --- every dispersion search ends ----------------------------------------------------------
+
+# inputs on which a dispersion search used to run on without end, or returned
+# its first bracket end c_KPP + 1 after numpy warnings: argv, and the
+# ModelParams keywords they set
+EXTREME_INPUTS = {
+    "limit-mu1e60": (("limit", "--set", "mu=1e60"), {"mu": 1e60}),
+    "speed-nu1e100": (("speed", "--set", "D=4", "--set", "nu=1e100"), {"D": 4.0, "nu": 1e100}),
+    "speed-fp0_1e40": (("speed", "--set", "D=4", "--set", "fp0=1e40"), {"D": 4.0, "f_prime_0": 1e40}),
+    "strip-fp0_1e40": (("strip", "--set", "D=4", "--set", "fp0=1e40", "--L", "1"),
+                       {"D": 4.0, "f_prime_0": 1e40}),
+    "speed-nu1e-300": (("speed", "--set", "D=4", "--set", "nu=1e-300"), {"D": 4.0, "nu": 1e-300}),
+    "speed-fp0_1e17": (("speed", "--set", "D=4", "--set", "fp0=1e17"), {"D": 4.0, "f_prime_0": 1e17}),
+}
+
+
+def _assert_certified_c_star(c_star: float, params: rf.ModelParams) -> None:
+    """c_star (original time) is critical_speed's answer, and its bracket certifies it."""
+    norm = rf.normalize_nu(params)
+    res = rf.critical_speed(norm)
+    lo, hi = res.bracket
+    assert c_star == params.nu * res.c_star
+    assert rf.c_kpp(norm) <= lo <= res.c_star <= hi and res.c_star != rf.c_kpp(norm) + 1.0
+    assert rf.curve_gap(lo, norm) <= 0.0 < rf.curve_gap(hi, norm)
+
+
+@pytest.mark.parametrize("argv, knobs", list(EXTREME_INPUTS.values()), ids=list(EXTREME_INPUTS))
+def test_an_extreme_input_ends_in_a_certified_speed_or_a_named_error(tmp_path, argv, knobs):
+    src = str(Path(rf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "roadfield.cli", *argv, "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    if proc.returncode == 1:
+        assert proc.stderr.startswith("error: ") and proc.stdout == ""
+        return
+    assert proc.returncode == 0, proc.stderr
+    params = rf.ModelParams(**{"D": 1.0, "d": 1.0, "mu": 1.0, **knobs})   # the CLI's defaults
+    row = proc.stdout.splitlines()[1].split(",")
+    if argv[0] == "limit":
+        norm = rf.normalize_nu(params)
+        c, (low, high) = float(row[3]), rf.limit_bounds(norm)
+        assert c == rf.limit_speed(norm)
+        tol = dispersion.DEFAULT_TOL
+        assert math.sqrt(low) - tol <= c <= math.sqrt(high) + tol
+    elif argv[0] == "speed":
+        # D,d,mu,fp0,c_kpp,c_star,regime
+        _assert_certified_c_star(float(row[5]), params)
+    else:
+        # D,d,mu,fp0,L,c_kpp,c_star_L,c_star
+        assert float(row[5]) < float(row[6]) <= float(row[7]) + dispersion.DEFAULT_TOL
+        _assert_certified_c_star(float(row[7]), params)
 
 
 # --- simulate -----------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import roadfield as rf
 from roadfield import dispersion
-from roadfield.errors import DomainError, NoTangencyError
+from roadfield.errors import BracketError, DomainError, NoTangencyError, RoadFieldError
 
 from oracles import (
     dense_critical_speed,
@@ -809,6 +810,75 @@ def test_fallback_runs_on_a_real_input(monkeypatch):
     lo, hi = res.bracket
     assert hi - lo <= res.tol and res.c_star == 0.5 * (lo + hi)
     assert rf.curve_gap(lo, p) <= 0.0 < rf.curve_gap(hi, p)
+
+
+# --- every search ends -----------------------------------------------------------
+
+
+def test_expand_doubles_the_step_until_the_test_holds():
+    seen = []
+    assert dispersion._expand(lambda x: seen.append(x) or x > 10.0, 2.0, 3.0, "c*") == 18.0
+    assert seen == [3.0, 4.0, 6.0, 10.0, 18.0]
+
+
+@pytest.mark.parametrize("base, past", [
+    (2e40, lambda x: True),            # base + 1 rounds onto base: a zero step
+    (math.nan, lambda x: True),        # a nan step
+    (math.inf, lambda x: True),        # an overflowed base: inf - inf is nan
+    (1.0, lambda x: math.nan > 0.0),   # a nan gap ends no search; the step outgrows 2^60
+], ids=["zero-step", "nan-base", "inf-base", "nan-gap"])
+def test_expand_raises_a_bracket_error_on_a_step_that_cannot_grow(base, past):
+    with pytest.raises(BracketError, match="no bracket for c"):
+        dispersion._expand(past, base, base + 1.0, "c*")
+
+
+def test_golden_max_ends_at_float_resolution():
+    # at b = 1e4 the float spacing, 1.8e-12, exceeds BETA_REFINE_TOL
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        assert len(calls) < 1000, "golden section does not end"
+        return -(t - 1e4 - 3e-7) ** 2
+
+    x, _ = dispersion._golden_max(f, 1e4, 1e4 + 1e-6, dispersion.BETA_REFINE_TOL)
+    assert abs(x - (1e4 + 3e-7)) <= 4e-12
+
+
+def test_a_tiny_exchange_rate_keeps_the_b_interval_off_the_pole():
+    # beta_D rounds onto b = -1/d at mu = 1e-17, where h divides by zero; the
+    # speed is the mu -> 0 value 2/sqrt(3) c_KPP, with no RuntimeWarning
+    assert rf.critical_speed(make(4.0, mu=1e-17)).c_star == 2.309401076758503
+
+
+_EXTREMES = (1e-40, 1e-8, 1.0, 1e8, 1e40)
+
+
+def test_every_search_ends_in_a_certified_speed_or_a_named_error():
+    # d, mu and f'(0) over 80 decades, D/d in {4, 1e4}; under the suite's
+    # RuntimeWarning filter a numpy warning fails the test
+    failures = []
+    tol = dispersion.DEFAULT_TOL
+    for d, mu, fp0, ratio in itertools.product(_EXTREMES, _EXTREMES, _EXTREMES, (4.0, 1e4)):
+        p = make(ratio * d, d=d, mu=mu, fp0=fp0)
+        ck = rf.c_kpp(p)
+        try:
+            res = rf.critical_speed(p)
+            lo, hi = res.bracket
+            certified = rf.curve_gap(lo, p) <= 0.0 < rf.curve_gap(hi, p)
+            if not (ck <= lo <= res.c_star <= hi and certified):
+                failures.append(("critical_speed", p, res))
+        except BracketError:
+            # the bracket search starts at c_KPP + 1, which rounds onto c_KPP past 2^53
+            if ck + 1.0 != ck:
+                failures.append(("critical_speed", p, "BracketError"))
+        try:
+            c, (low, high) = rf.limit_speed(p), rf.limit_bounds(p)
+            if not math.sqrt(low) - tol <= c <= math.sqrt(high) + tol:
+                failures.append(("limit_speed", p, c))
+        except RoadFieldError:
+            pass
+    assert failures == []
 
 
 # sha256 of (c*, its bracket, limit_speed) as float.hex over 40 seeded sets,
