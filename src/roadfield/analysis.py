@@ -159,7 +159,8 @@ def is_ordered(a: FieldState, b: FieldState) -> bool:
         raise GridMismatchError(
             f"states live on different grids: {a.u.shape}/{a.v.shape} vs {b.u.shape}/{b.v.shape}"
         )
-    return bool(np.all(a.u <= b.u) and np.all(a.v <= b.v))
+    # the methods, not np.all: its wrapper costs about 3 us per call on a 25x9 grid
+    return bool((a.u <= b.u).all() and (a.v <= b.v).all())
 
 
 def steady_error(

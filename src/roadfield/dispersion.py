@@ -588,13 +588,13 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
     For D <= 2d (including the degenerate D=0 road) the road cannot outrun
     the field and c* = c_KPP exactly.  For D > 2d the result is the unique
     root of :func:`curve_gap`: the Newton speed of the tangency system,
-    seeded inside [c_KPP, c_hi] (c_hi = c_KPP + 2^k, doubled until the
-    coarse gap is positive), with a bracket of width <= tol on which
-    :func:`curve_gap` changes sign.  When that certificate fails the root
-    is bisected on the same [c_KPP, c_hi] and the speed is the bracket
-    midpoint.  The returned tangency point records b and the lower field
-    branch there.  When the doubling step cannot grow (c_KPP + 1 rounds
-    onto c_KPP, or c_KPP overflows) it raises :class:`BracketError`.
+    seeded inside [c_KPP, c_hi] (c_hi = c_KPP + 2^k max(1, 2^-20 c_KPP),
+    doubled until the coarse gap is positive), with a bracket of width <=
+    tol on which :func:`curve_gap` changes sign.  When that certificate
+    fails the root is bisected on the same [c_KPP, c_hi] and the speed is
+    the bracket midpoint.  The returned tangency point records b and the
+    lower field branch there.  When the doubling step cannot grow (c_KPP
+    overflows) it raises :class:`BracketError`.
     """
     _require_normalized(params)
     if not tol > 0:
@@ -603,8 +603,10 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
     if params.D <= 2.0 * params.d:
         return SpeedResult(c_star=ck, regime=Regime.SUB_THRESHOLD, bracket=(ck, ck), tol=tol)
     system = _half_plane(params)
+    # a first step of 1 rounds onto c_KPP past 2^53; below 2^20 the step is 1
+    first = ck + max(1.0, 2.0**-20 * ck)
     # a positive coarse max is a positive gap, so c_hi is an upper end for both
-    hi = _expand(lambda c: _gap_and_argmax(system, c, coarse=True)[0] > 0.0, ck, ck + 1.0, "c*")
+    hi = _expand(lambda c: _gap_and_argmax(system, c, coarse=True)[0] > 0.0, ck, first, "c*")
     # the public curve_gap is the half-plane's gap: the certificate is its sign change
     speed = _tangent_speed(system, ck, hi, tol, gap=partial(curve_gap, params=params))
     return _super_threshold(*speed, tol, params, Branch.FIELD_MINUS)

@@ -40,8 +40,14 @@ still count grid steps of dt: a field step never spans a snapshot.
 
 Padded buffers.  A state lives in padded buffers with one ghost node on
 every side: the road in (..., nx+2) and the field in (..., nx+2, ny+2).
-:func:`run` allocates two of each and every temporary once and
-ping-pongs between them; :func:`step` allocates one such set per call.
+A buffer set holds two of each and every temporary, and ping-pongs
+between them.  Every view the kernel reads or writes (interiors, ghosts
+and their mirror sources, the flat range and its neighbours) is bound
+once, when the set is built, so a step slices nothing.  :func:`run` builds
+one set per run.  :func:`step` keeps one spare set, keyed by the field's
+shape: a call pops it (or builds a set when it is absent or of another
+shape), copies the state in and puts the set back after, so a reaction
+that calls :func:`step` or a second thread gets a set of its own.
 The field update runs over the flat contiguous range [W, W*(nx+1)) of
 the field buffer, W = ny+2, which is the padded rows 1..nx end to end:
 the x neighbours of a node sit at offsets +-W and its y neighbours at
@@ -380,42 +386,85 @@ def _blowup_cap(u0: np.ndarray, v0: np.ndarray, params: ModelParams) -> float | 
     return 10.0 * np.maximum(1.0, np.maximum(v0.max(axis=(-2, -1)), ratio * u0.max(axis=-1)))
 
 
+class _Road:
+    """Views of one padded road buffer, of shape batch + (nx+2,), bound once.
+
+    inner is the interior, right and left its +1 and -1 neighbours; lo and
+    hi are the mirror ghosts, lo_src and hi_src the nodes they mirror.
+    """
+
+    __slots__ = ("inner", "right", "left", "lo", "lo_src", "hi", "hi_src")
+
+    def __init__(self, u: np.ndarray):
+        self.inner, self.right, self.left = u[..., 1:-1], u[..., 2:], u[..., :-2]
+        # [..., 0] is a 0-d view even of a 1-D buffer, never a copied scalar
+        self.lo, self.lo_src, self.hi, self.hi_src = u[..., 0], u[..., 2], u[..., -1], u[..., -3]
+
+
+class _Field:
+    """Views of one padded field buffer, of shape batch + (nx+2, ny+2), bound once.
+
+    inner is the interior.  ghost is the exchange-ghost column below y = 0,
+    y0 and y1 the columns at y = 0 and y = dy, top the ghost column above
+    y_max and top_src the column it mirrors.  The rest view the buffer with
+    its last two axes flattened, W = ny+2 values per padded row: first and
+    last are the padded rows 0 and nx+1, first_src and last_src the rows 2
+    and nx-1 they mirror, centre is the flat range [W, W*(nx+1)) of the
+    padded rows 1..nx, and right, left, up and down are its neighbours at
+    offsets +W, -W, +1 and -1.
+    """
+
+    __slots__ = ("inner", "ghost", "y0", "y1", "top", "top_src", "first", "first_src",
+                 "last", "last_src", "centre", "right", "left", "up", "down")
+
+    def __init__(self, v: np.ndarray):
+        w = v.shape[-1]
+        n = (v.shape[-2] - 2) * w
+        # the flat length spelled out: -1 cannot be inferred for an empty batch
+        flat = v.reshape(*v.shape[:-2], n + 2 * w)
+        self.inner, self.ghost, self.y0, self.y1 = (
+            v[..., 1:-1, 1:-1], v[..., 1:-1, 0], v[..., 1:-1, 1], v[..., 1:-1, 2])
+        self.top, self.top_src = v[..., 1:-1, -1], v[..., 1:-1, -3]
+        self.first, self.first_src = flat[..., :w], flat[..., 2 * w:3 * w]
+        self.last, self.last_src = flat[..., -w:], flat[..., -3 * w:-2 * w]
+        self.centre, self.right, self.left = flat[..., w:w + n], flat[..., 2 * w:], flat[..., :n]
+        self.up, self.down = flat[..., w + 1:w + 1 + n], flat[..., w - 1:w - 1 + n]
+
+
 class _Buffers:
     """The padded state of one grid, or a batch of them, and the kernel's temporaries.
 
-    u, of shape batch + (nx+2,), and v, of shape batch + (nx+2, ny+2), hold
-    the current road and field with one ghost node on every side, and
-    v_flat is v with its last two axes flattened; road and field are the
-    interiors.  :func:`_advance` writes the next state into u_next and
-    v_next (v_next_flat) and swaps the pairs; the road substeps ping-pong
-    between u and u_next.  lap and nu_v0 are the road's temporaries, t1
-    and t2 the field's, one value per node of the flat range.  Everything
-    is allocated once, here.
+    road, a :class:`_Road`, and field, a :class:`_Field`, hold the current
+    state with one ghost node on every side.  :func:`_advance` writes the
+    next state into road_next and field_next and swaps the pairs; the road
+    substeps ping-pong between road and road_next.  lap and nu_v0 are the
+    road's temporaries, t1 and t2 the field's, one value per node of the
+    flat range, and t1_inner is t1 at the interior nodes.  Every array is
+    allocated and every view bound once, here.
     """
 
-    __slots__ = ("u", "v", "v_flat", "u_next", "v_next", "v_next_flat", "lap", "nu_v0",
-                 "t1", "t2")
+    __slots__ = ("road", "road_next", "field", "field_next", "lap", "nu_v0", "t1", "t2",
+                 "t1_inner")
 
     def __init__(self, u: np.ndarray, v: np.ndarray):
         """Buffers shaped for the state (u, v), which is copied in."""
         batch, (nx, ny) = u.shape[:-1], v.shape[-2:]
-        road, padded = (*batch, nx + 2), (*batch, nx + 2, ny + 2)
-        flat = (*batch, (nx + 2) * (ny + 2))
-        self.u, self.u_next = np.empty(road), np.empty(road)
-        self.v, self.v_next = np.empty(padded), np.empty(padded)
-        self.v_flat, self.v_next_flat = self.v.reshape(flat), self.v_next.reshape(flat)
+        self.road, self.road_next = (_Road(np.empty((*batch, nx + 2))) for _ in range(2))
+        self.field, self.field_next = (_Field(np.empty((*batch, nx + 2, ny + 2))) for _ in range(2))
         self.lap, self.nu_v0 = np.empty((*batch, nx)), np.empty((*batch, nx))
         self.t1, self.t2 = np.empty((*batch, nx * (ny + 2))), np.empty((*batch, nx * (ny + 2)))
-        self.u[..., 1:-1] = u
-        self.v[..., 1:-1, 1:-1] = v
+        self.t1_inner = self.t1.reshape(*batch, nx, ny + 2)[..., 1:-1]
+        self.load(u, v)
 
-    @property
-    def road(self) -> np.ndarray:
-        return self.u[..., 1:-1]
+    def load(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Copy the state (u, v) into the current interiors."""
+        self.road.inner[...] = u
+        self.field.inner[...] = v
 
-    @property
-    def field(self) -> np.ndarray:
-        return self.v[..., 1:-1, 1:-1]
+
+# step()'s spare buffer set, at most one, keyed by the field's shape; a call
+# pops it before use and puts it back after
+_SPARE: dict[tuple[int, ...], _Buffers] = {}
 
 
 def _advance(
@@ -444,25 +493,24 @@ def _advance(
     """
     dx2, dy2 = dx**2, dy**2
     D, d, mu, nu = params.D, params.d, params.mu, params.nu
-    v = buf.v
-    nx, w = v.shape[-2] - 2, v.shape[-1]
+    field = buf.field
     # the exchange ghost column first sums the road states the substeps start from
-    ghost = v[..., 1:-1, 0]
-    nu_v0 = np.multiply(v[..., 1:-1, 1], nu, buf.nu_v0)
+    ghost = field.ghost
+    nu_v0 = np.multiply(field.y0, nu, buf.nu_v0)
     lap = buf.lap
 
     # road: 3-point Laplacian in x, mirror ghosts at both ends, ping-ponging
-    # between u and u_next
-    src, dst = buf.u, buf.u_next
+    # between road and road_next
+    src, dst = buf.road, buf.road_next
     for s in range(substeps):
-        inner, new = src[..., 1:-1], dst[..., 1:-1]
+        inner, new = src.inner, dst.inner
         if s:
             ghost += inner
         else:
             ghost[...] = inner
-        src[..., 0] = src[..., 2]
-        src[..., -1] = src[..., -3]
-        np.add(src[..., 2:], src[..., :-2], lap)
+        src.lo[...] = src.lo_src
+        src.hi[...] = src.hi_src
+        np.add(src.right, src.left, lap)
         lap -= inner
         lap -= inner
         lap *= dt * D / dx2
@@ -472,7 +520,7 @@ def _advance(
         lap *= dt
         new += lap
         src, dst = dst, src
-    buf.u, buf.u_next = src, dst
+    buf.road, buf.road_next = src, dst
     field_dt = substeps * dt
 
     # field ghosts: mirrors laterally and on top, the exchange flux
@@ -482,26 +530,23 @@ def _advance(
     ghost *= mu
     ghost -= nu_v0
     ghost *= 2.0 * dy / d
-    ghost += v[..., 1:-1, 2]
-    v[..., 1:-1, -1] = v[..., 1:-1, -3]
+    ghost += field.y1
+    field.top[...] = field.top_src
     # whole rows, corners included, so every node the flat range reads is written first
-    flat = buf.v_flat
-    flat[..., :w] = flat[..., 2 * w:3 * w]
-    flat[..., -w:] = flat[..., -3 * w:-2 * w]
+    field.first[...] = field.first_src
+    field.last[...] = field.last_src
 
-    # field: one pass per operation over the flat range [w, w(nx+1)) of the
-    # padded rows 1..nx, neighbours at offsets +-w in x and +-1 in y; the
-    # ghost columns inside the range get finite junk that the next ghost
-    # fill overwrites before anything reads it
-    n = nx * w
-    out = buf.v_next_flat[..., w:w + n]
-    c = flat[..., w:w + n]
+    # field: one pass per operation over the flat range of the padded rows
+    # 1..nx, neighbours at offsets +-W in x and +-1 in y; the ghost columns
+    # inside the range get finite junk that the next ghost fill overwrites
+    # before anything reads it
+    c, out = field.centre, buf.field_next.centre
     t1, t2 = buf.t1, buf.t2
-    np.add(flat[..., 2 * w:], flat[..., :n], t1)
+    np.add(field.right, field.left, t1)
     t1 -= c
     t1 -= c
     t1 *= field_dt * d / dx2
-    np.add(flat[..., w + 1:w + 1 + n], flat[..., w - 1:w - 1 + n], t2)
+    np.add(field.up, field.down, t2)
     t2 -= c
     t2 -= c
     t2 *= field_dt * d / dy2
@@ -515,11 +560,9 @@ def _advance(
         t2 *= field_dt
         t1 += t2
     elif reaction is not None:
-        t1.reshape(*v.shape[:-2], nx, w)[..., 1:-1] += (
-            field_dt * np.asarray(reaction(v[..., 1:-1, 1:-1])))
+        buf.t1_inner += field_dt * np.asarray(reaction(field.inner))
     np.add(c, t1, out)
-    buf.v, buf.v_next = buf.v_next, v
-    buf.v_flat, buf.v_next_flat = buf.v_next_flat, flat
+    buf.field, buf.field_next = buf.field_next, field
 
 
 def _check_cap(buf: _Buffers, cap, params: ModelParams, t: float,
@@ -535,15 +578,15 @@ def _check_cap(buf: _Buffers, cap, params: ModelParams, t: float,
     state, "state[i]" in a batch), its cap, its max u and max v, the time
     t and, from :func:`run`, the grid step, which the error also carries.
     """
-    u, w = buf.u[..., 1:-1], buf.v.shape[-1]
+    u = buf.road.inner
     # np.maximum.reduce is ndarray.max without its keyword handling, a
     # measurable share of a one-state step
     u_ok = np.maximum.reduce(u, -1) <= params.nu / params.mu * cap
-    ok = u_ok & (np.maximum.reduce(buf.v_flat[..., w:-w], -1) <= cap)
+    ok = u_ok & (np.maximum.reduce(buf.field.centre, -1) <= cap)
     # one state gives a numpy bool, whose .all() would slow the step measurably
     if ok.all() if ok.ndim else ok:
         return
-    v = buf.field
+    v = buf.field.inner
     ok = u_ok & (v.max(axis=(-2, -1)) <= cap)
     if ok.all() if ok.ndim else ok:
         return
@@ -578,17 +621,34 @@ def step(
     :func:`_check_cap` (no grid step).  The cap is on v, and nu/mu times
     it on u; it is ``max_value`` (a number, or an array of the batch shape)
     or by default 10 x max(1, sup v, mu/nu sup u) of the member itself, so
-    a batch raises exactly when one of its members would raise alone.  The
-    new u and v are views of fresh padded buffers.
+    a batch raises exactly when one of its members would raise alone.  That
+    cap is computed only when the new state fails the check at 10, the
+    least default cap.  The new u and v are contiguous copies, which later
+    steps never write.
     """
     if state.u.shape[-1:] != (grid.nx,) or state.v.shape != state.u.shape + (grid.ny,):
         raise ValueError("state shape does not match grid")
     f = params.reaction if reaction is _USE_PARAMS else reaction
-    cap = _blowup_cap(state.u, state.v, params) if max_value is None else max_value
-    buf = _Buffers(state.u, state.v)
+    # the spare set, or a new one while another call (a reaction that steps,
+    # a second thread) holds it
+    buf = _SPARE.pop(state.v.shape, None) or _Buffers(state.u, state.v)
+    buf.load(state.u, state.v)
+    t = state.t + grid.dt
     _advance(buf, params, grid.dt, grid.dx, grid.dy, f)
-    _check_cap(buf, cap, params, state.t + grid.dt)
-    return FieldState(t=state.t + grid.dt, u=buf.u[..., 1:-1], v=buf.v[..., 1:-1, 1:-1])
+    try:
+        _check_cap(buf, 10.0 if max_value is None else max_value, params, t)
+        blown = False
+    except BlowUpError:
+        if max_value is not None:
+            raise
+        blown = True
+    if blown:
+        # every default cap is at least 10: only a state above 10 needs its own
+        _check_cap(buf, _blowup_cap(state.u, state.v, params), params, t)
+    new = FieldState(t=t, u=buf.road.inner.copy(), v=buf.field.inner.copy())
+    _SPARE.clear()
+    _SPARE[state.v.shape] = buf
+    return new
 
 
 def _mass(u: np.ndarray, rows: np.ndarray, dx: float) -> float:
@@ -661,7 +721,7 @@ def run(
             k += m
             _check_cap(buf, cap, params, k * dt, k)
         # the mass from the half's row integrals: a folded run unfolds 1-D arrays only
-        u, v = buf.road, buf.field
+        u, v = buf.road.inner, buf.field.inner
         rows, trace = np.trapezoid(v, dx=dy, axis=-1), v[:, 0]
         if fold:
             u, rows, trace = _unfold(u), _unfold(rows), _unfold(trace)

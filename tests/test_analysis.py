@@ -273,6 +273,21 @@ def test_is_ordered_grid_mismatch():
         rf.is_ordered(a, b)
 
 
+def test_is_ordered_gives_a_python_bool_and_no_order_with_a_nan():
+    g = line_grid()
+    zero = rf.FieldState(t=0.0, u=np.zeros(g.nx), v=np.zeros((g.nx, g.ny)))
+    one = rf.FieldState(t=0.0, u=np.ones(g.nx), v=np.ones((g.nx, g.ny)))
+    assert rf.is_ordered(zero, one) is True and rf.is_ordered(one, zero) is False
+    u_nan, v_nan = one.u.copy(), one.v.copy()
+    u_nan[3], v_nan[2, 1] = np.nan, np.nan
+    for holed in (rf.FieldState(t=0.0, u=u_nan, v=one.v), rf.FieldState(t=0.0, u=one.u, v=v_nan)):
+        assert rf.is_ordered(holed, one) is False and rf.is_ordered(zero, holed) is False
+    # a field of another height alone is a mismatch too
+    taller = rf.FieldState(t=0.0, u=np.zeros(g.nx), v=np.zeros((g.nx, g.ny + 1)))
+    with pytest.raises(GridMismatchError):
+        rf.is_ordered(zero, taller)
+
+
 def test_steady_error_at_equilibrium_and_zero():
     g = line_grid()
     params = rf.ModelParams(D=1.0, d=1.0, mu=2.0, nu=1.0)

@@ -346,6 +346,15 @@ def test_an_extreme_input_ends_in_a_certified_speed_or_a_named_error(tmp_path, a
         _assert_certified_c_star(float(row[7]), params)
 
 
+def test_c_star_past_2_to_53_is_certified(tmp_path, capsys):
+    # c_KPP = 2e20: a first bracket step of 1 would round onto c_KPP
+    argv, knobs = EXTREME_INPUTS["speed-fp0_1e40"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    params = rf.ModelParams(**{"D": 1.0, "d": 1.0, "mu": 1.0, **knobs})   # the CLI's defaults
+    _assert_certified_c_star(float(row[5]), params)
+
+
 # --- simulate -----------------------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -345,7 +347,7 @@ def _spy_advance(monkeypatch) -> list[tuple[int, int]]:
     kernel = simulate._advance
 
     def spy(buf, params, dt, dx, dy, reaction, substeps=1):
-        calls.append((buf.road.shape[0], substeps))
+        calls.append((buf.road.inner.shape[0], substeps))
         return kernel(buf, params, dt, dx, dy, reaction, substeps)
 
     monkeypatch.setattr(simulate, "_advance", spy)
@@ -645,7 +647,7 @@ def _advance(u, v, params, dt, dx, dy, reaction, substeps):
     """(u, v) advanced by the kernel on buffers of their own."""
     buf = simulate._Buffers(u, v)
     simulate._advance(buf, params, dt, dx, dy, reaction, substeps)
-    return buf.road, buf.field
+    return buf.road.inner, buf.field.inner
 
 
 @pytest.mark.parametrize("substeps", [1, 5])
@@ -704,11 +706,13 @@ def _sqrt_reaction():
 @pytest.mark.parametrize("reaction", ["logistic", "sqrt", None])
 @pytest.mark.parametrize("batch", [(), (2,)])
 @pytest.mark.parametrize("substeps", [1, 3])
-@pytest.mark.parametrize("nx, ny", [(3, 3), (3, 7), (8, 3), (12, 5)])
+@pytest.mark.parametrize("nx, ny", [(2, 5), (3, 3), (3, 7), (8, 3), (12, 5)])
 def test_padded_kernel_equals_the_reference_kernel(nx, ny, substeps, batch, reaction):
     # four chained calls on one set of buffers, so each call reads what the
-    # last one left in the ghosts; nx = 3 and ny = 3 are the smallest grids,
-    # nx = 8 is even (no fold)
+    # last one left in the ghosts; nx = 2 is the folded half of a 3-column
+    # run (a road buffer of 4, where each mirror ghost's source is the other
+    # end's interior node), nx = 3 and ny = 3 are the smallest grids, nx = 8
+    # is even (no fold)
     f = {"logistic": P10.reaction, "sqrt": _sqrt_reaction(), None: None}[reaction]
     rng = np.random.default_rng(nx * 100 + ny)
     u, v = _random_batch(rng, batch, nx, ny)
@@ -716,7 +720,7 @@ def test_padded_kernel_equals_the_reference_kernel(nx, ny, substeps, batch, reac
     for _ in range(4):
         simulate._advance(buf, P10, 0.002, 0.5, 0.25, f, substeps)
         u, v = oracles.reference_advance(u, v, P10, 0.002, 0.5, 0.25, f, substeps)
-        assert np.array_equal(buf.road, u) and np.array_equal(buf.field, v)
+        assert np.array_equal(buf.road.inner, u) and np.array_equal(buf.field.inner, v)
 
 
 @pytest.mark.parametrize("nx, ny", [(3, 3), (4, 3), (3, 6)])
@@ -799,8 +803,7 @@ def test_ghost_junk_above_the_cap_does_not_blow_up():
     u, v = np.ones(grid.nx), np.zeros((grid.nx, grid.ny))
     buf = simulate._Buffers(u, v)
     simulate._advance(buf, params, grid.dt, grid.dx, grid.dy, params.reaction)
-    w = buf.v.shape[-1]
-    assert buf.v_flat[w:-w].max() > 0.25 >= buf.field.max()
+    assert buf.field.centre.max() > 0.25 >= buf.field.inner.max()
     out = rf.step(rf.FieldState(t=0.0, u=u, v=v), params, grid, max_value=0.25)
     assert out.u.max() <= 1.0 and out.v.max() <= 0.25
 
@@ -929,6 +932,123 @@ def test_batched_step_shape_mismatch(u_shape, v_shape):
     g = small_grid()
     with pytest.raises(ValueError):
         rf.step(rf.FieldState(t=0.0, u=np.zeros(u_shape), v=np.zeros(v_shape)), P1, g)
+
+
+# --- step's spare buffers and lazy cap --------------------------------------------------
+
+
+def test_a_stepped_state_owns_its_arrays():
+    # step() reuses one buffer set per shape, so what it returns must be a
+    # copy that no later step writes
+    grid = small_grid()
+    start = rf.init_state(grid, rf.InitialDatum.compact_bump(amplitude_u=0.5))
+    first = rf.step(start, P1, grid)
+    kept = first.u.copy(), first.v.copy()
+    later = rf.step(first, P1, grid)
+    other = rf.step(rf.FieldState(t=0.0, u=np.ones(grid.nx), v=np.ones((grid.nx, grid.ny))),
+                    P1, grid)
+    assert np.array_equal(first.u, kept[0]) and np.array_equal(first.v, kept[1])
+    assert first.u.flags.c_contiguous and first.v.flags.c_contiguous
+    arrays = [a for s in (start, first, later, other) for a in (s.u, s.v)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def test_a_reaction_that_steps_gives_the_bits_of_one_that_does_not():
+    # the inner step finds the spare set taken by the outer one and builds its own
+    grid = small_grid()
+    state = rf.init_state(grid, rf.InitialDatum.compact_bump(amplitude_u=0.5))
+    other = rf.FieldState(t=0.0, u=np.full(grid.nx, 0.3), v=np.full((grid.nx, grid.ny), 0.2))
+    inner = []
+
+    def stepping(s):
+        inner.append(rf.step(other, P1, grid))
+        return s * (1.0 - s)
+
+    rf.step(state, P1, grid)   # leaves a spare set of this shape
+    got = rf.step(state, P1, grid, reaction=rf.ReactionFunction(stepping, f_prime_0=1.0))
+    want = rf.step(state, P1, grid,
+                   reaction=rf.ReactionFunction(lambda s: s * (1.0 - s), f_prime_0=1.0))
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+    alone = rf.step(other, P1, grid)
+    assert np.array_equal(inner[0].u, alone.u) and np.array_equal(inner[0].v, alone.v)
+
+
+def test_threads_stepping_same_shaped_states_get_the_serial_bits():
+    # more threads than cores, switching every microsecond: two threads
+    # sharing one buffer set would mix their states
+    grid = rf.build_grid(-6.0, 6.0, 4.0, 0.5, 0.5, P1, 0.4)
+    rng = np.random.default_rng(41)
+    starts = [rf.FieldState(t=0.0, u=rng.random(grid.nx), v=rng.random((grid.nx, grid.ny)))
+              for _ in range(4)]
+
+    def chain(state):
+        states = []
+        for _ in range(150):
+            state = rf.step(state, P1, grid)
+            states.append(state)
+        return states
+
+    serial = [chain(s) for s in starts]
+    threaded = [None] * len(starts)
+
+    def work(i):
+        threaded[i] = chain(starts[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(starts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(threaded, serial):
+        assert all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+                   for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("levels", [[15.0], [0.5, 15.0]])
+def test_a_state_above_10_is_held_to_its_own_cap(levels):
+    # every default cap is at least 10; a state above 10 is measured against
+    # its own cap, computed only then, with the message _check_cap gives it
+    grid = rf.Grid(x_min=-1.0, x_max=1.0, y_max=1.0, nx=5, ny=3, dt=2.0)
+    state = _uniform_batch(grid, levels)
+    if len(levels) == 1:
+        state = rf.FieldState(t=0.0, u=state.u[0], v=state.v[0])
+    # diffusion and exchange leave (c, c) where it is: 15 stays under its cap 150
+    out = rf.step(state, P1, grid, reaction=None)
+    assert np.array_equal(out.u, state.u) and np.array_equal(out.v, state.v)
+    # zero below 1, so 0.5 stays; 15 goes to 15 + 2 * 1500, above 150
+    burst = rf.ReactionFunction(lambda s: np.where(s > 1.0, 100.0 * s, 0.0), f_prime_0=1.0)
+    buf = simulate._Buffers(state.u, state.v)
+    simulate._advance(buf, P1, grid.dt, grid.dx, grid.dy, burst)
+    with pytest.raises(BlowUpError) as expected:
+        simulate._check_cap(buf, simulate._blowup_cap(state.u, state.v, P1), P1, grid.dt)
+    with pytest.raises(BlowUpError) as excinfo:
+        rf.step(state, P1, grid, reaction=burst)
+    assert str(excinfo.value) == str(expected.value)
+    assert "exceeded 150.0" in str(excinfo.value) and excinfo.value.__context__ is None
+
+
+def test_an_unstable_chain_without_a_cap_raises_where_it_did():
+    # dt at 2.5 times the stability bound, each step capped by its own input:
+    # the state runs away below zero, which the cap does not see, until v
+    # overflows to nan at grid step 21
+    base = small_grid()
+    bad = rf.Grid(x_min=base.x_min, x_max=base.x_max, y_max=base.y_max,
+                  nx=base.nx, ny=base.ny, dt=2.5 * rf.cfl_dt(base, P1, 1.0))
+    state = rf.init_state(bad, rf.InitialDatum.compact_bump())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as excinfo:
+        for k in range(1, 500):
+            state = rf.step(state, P1, bad)
+    assert k == 21
+    assert str(excinfo.value) == (
+        "state exceeded 82.49159170214952 on v or nu/mu times that on u (max u "
+        "0.30239915061568623, max v nan) at t=2.2826086956521743: the scheme is unstable")
 
 
 # --- CSV output -----------------------------------------------------------------------
