@@ -31,7 +31,8 @@ derived from the system once it is built:
   bit the matching element of an array evaluation;
 - the gap in c, ``_gap_and_argmax``: the gap maximised over the b
   interval by one maximiser, ``_max_gap`` (a dense grid scan, then
-  golden-section refinement); it changes sign at the speed;
+  golden-section refinement, ``_golden_max``, which stops once its two
+  interior values tie); it changes sign at the speed;
 - the speed, ``_tangent_speed``, one function that seeds, solves,
   certifies and falls back, taking the gap in c from the system itself
   (``critical_speed`` certifies through the public :func:`curve_gap`,
@@ -52,9 +53,15 @@ derived from the system once it is built:
 One bisection, ``_bisect_gap``, brackets every root here, including the
 crossings in :func:`intersections` and the window speeds in
 :func:`gamma_plus_threshold`, and one doubling, ``_expand``, finds every
-upper bracket end.  Each search stops at its width or at float
-resolution, or raises :class:`BracketError`.  Every branch of the form
-(c +/- sqrt(disc))/scale is ``_root``.
+upper bracket end.  A bisection stops at its width in c (or in t, the
+window's variable) or at float resolution, the golden section once its
+interior values tie or at float resolution, and a bracket search that
+cannot grow raises :class:`BracketError`.  No search in b has a width of
+its own: with nu = 1 the map (D, d, mu, f'(0)) -> (D/s, d/s, s mu,
+s f'(0)) multiplies a and b by s and keeps c, and for s = 2^k, |k| <= 60,
+c*, the strip threshold at height L/s and the large-D limit over sqrt(s)
+keep their value to 2 ulps, and the crossings at a speed their number.
+Every branch of the form (c +/- sqrt(disc))/scale is ``_root``.
 """
 
 from __future__ import annotations
@@ -95,7 +102,6 @@ __all__ = [
 
 GRID_POINTS = 2048          # dense scan of the admissible b interval
 CROSSING_SCAN_POINTS = 4096  # scan of each branch pair in intersections
-BETA_REFINE_TOL = 1e-12     # golden-section width in b
 DEFAULT_TOL = 1e-8          # width in c of a certified bracket
 SEED_POINTS = 64            # coarse scan behind the Newton seed, no refinement
 SEED_SHARE = 0.01           # the seed bisection stops at this share of its bracket
@@ -284,8 +290,9 @@ def _root(c: float, disc, scale: float, s: float = 1.0):
 
 def _clamp_roundoff(disc: float, scale: float) -> float:
     # discriminants vanish exactly on the domain boundary; absorb float noise
-    # on both sides so boundary evaluations (double roots) come out exact
-    if abs(disc) < 1e-13 * max(scale, 1.0):
+    # on both sides so boundary evaluations (double roots) come out exact.
+    # The width is relative to scale = c^2, the size of the discriminant's terms
+    if abs(disc) < 1e-13 * scale:
         return 0.0
     return disc
 
@@ -383,17 +390,25 @@ def _gap(system: _Tangency, c: float, b):
 # --- the gap in c: its maximiser and bisection ---------------------------------------
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximisation of a unimodal f on [a, b].
+def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Golden-section maximisation of a unimodal f on [a, b]: (argmax, max).
 
-    Stops like :func:`_bisect_gap`: at width tol, or earlier when a golden
-    point rounds onto an end, so a tol below the float spacing ends at
-    float resolution, not in a loop.
+    The section learns only from the comparison f1 < f2 of its two interior
+    values, so it stops once they are equal: the peak of a unimodal f then
+    lies between them, and further steps would follow the rounding of f,
+    not its shape.  On a smooth peak of height f* that happens at a width of
+    about sqrt(eps |f*/f''|), which has no scale of its own: [a, b] and f
+    scaled by powers of two take the same steps.  Otherwise it stops at
+    float resolution, when a golden point rounds onto an end; each step
+    moves an end strictly inward, so it ends on any f, nan included.  A flat
+    peak at b = 0 (the strip's) ends by the first rule; a peak of height
+    exactly 0 never ties and runs to float resolution at 0, through the
+    subnormals.
     """
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol and a < x1 and x2 < b:
+    while f1 != f2 and a < x1 and x2 < b:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
@@ -424,7 +439,7 @@ def _max_gap(gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         return float(vals[k]), float(grid[k])
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, GRID_POINTS - 1)]
-    x, fx = _golden_max(lambda t: float(gap(t)), a, b, BETA_REFINE_TOL)
+    x, fx = _golden_max(lambda t: float(gap(t)), a, b)
     if fx >= vals[k]:
         return fx, x
     return float(vals[k]), float(grid[k])
@@ -630,16 +645,18 @@ def _road_residual(system: _Tangency, c: float, b, upper: bool):
 def intersections(c: float, params: ModelParams) -> IntersectionSet:
     """Locate every crossing of the road curve with the field circle at speed c.
 
-    On each field semicircle, scans the road equation's residual
-    (:func:`_road_residual`) for sign changes over ``CROSSING_SCAN_POINTS``
-    even nodes of the admissible b interval and refines each by bisection.
-    At large D the stretch where the upper road branch clears the lower
-    field branch is narrower than the node spacing, so the argmax of
-    :func:`curve_gap` also splits its cell when that cell shows no sign
-    change of its own.  Points are labelled by the field semicircle they
-    lie on.  For D > 2d and c > c* the loci cross at exactly two points.
-    For D <= 2d, where c* = c_KPP, they need not cross at all just above
-    c* (D = d = mu = 1 at c = 2.25 gives no points).
+    On each field semicircle, evaluates the road equation's residual
+    (:func:`_road_residual`) on ``CROSSING_SCAN_POINTS`` even nodes of the
+    admissible b interval plus the argmax of :func:`curve_gap`: at large D
+    the stretch where the upper road branch clears the lower field branch
+    is narrower than the node spacing, and the argmax sits inside it.  A
+    node where the residual is exactly 0 is a crossing, and a cell whose
+    ends have strictly opposite signs holds one, bisected to adjacent
+    floats; so each crossing is found once, with no width to merge by.
+    Points are labelled by the field semicircle they lie on.  For D > 2d
+    and c > c* the loci cross at exactly two points.  For D <= 2d, where
+    c* = c_KPP, they need not cross at all just above c* (D = d = mu = 1 at
+    c = 2.25 gives no points).
     """
     _require_normalized(params)
     if params.D <= 0:
@@ -647,34 +664,24 @@ def intersections(c: float, params: ModelParams) -> IntersectionSet:
     system = _half_plane(params)
     grid = np.linspace(*system.b_range(c), CROSSING_SCAN_POINTS)
     b_peak = _gap_and_argmax(system, c)[1]
-    k_peak = min(max(int(np.searchsorted(grid, b_peak)) - 1, 0), CROSSING_SCAN_POINTS - 2)
+    nodes = np.insert(grid, np.searchsorted(grid, b_peak), b_peak)
     found: list[CurvePoint] = []
     for field_sign, branch in (("+", Branch.FIELD_PLUS), ("-", Branch.FIELD_MINUS)):
 
         def diff(b, _upper=field_sign == "+"):
             return _road_residual(system, c, b, _upper)
 
-        vals = diff(grid)
-        brackets = [(grid[k], grid[k + 1], vals[k], vals[k + 1])
-                    for k in np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)]
-        k, v_peak = k_peak, float(diff(b_peak))
-        if vals[k] * vals[k + 1] > 0.0 and vals[k] * v_peak <= 0.0:
-            brackets += [(grid[k], b_peak, vals[k], v_peak),
-                         (b_peak, grid[k + 1], v_peak, vals[k + 1])]
-        for a, b, va, vb in brackets:
-            if va == 0.0 and vb == 0.0:
-                continue
-            # orient the residual to rise through the bracket; exact zeros
-            # count as past the crossing
-            s = 1.0 if va < vb else -1.0
-            a, b = _bisect_gap(lambda t, s=s: s * float(diff(t)) >= 0.0, float(a), float(b), 0.0)
-            beta_root = 0.5 * (a + b)
-            alpha_root = alpha_field(c, beta_root, params, field_sign)
-            if not any(
-                abs(p.beta - beta_root) < 1e-9 and abs(p.alpha - alpha_root) < 1e-9
-                for p in found
-            ):
-                found.append(CurvePoint(beta=beta_root, alpha=alpha_root, branch=branch))
+        signs = np.sign(diff(nodes))
+        # a node can repeat (the argmax on a grid node): the set counts its zero once
+        roots = list({float(b) for b in nodes[signs == 0.0]})
+        for k in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
+            # the residual has the sign s past the crossing; zeros count as past it
+            s = float(signs[k + 1])
+            a, b = _bisect_gap(lambda t: s * float(diff(t)) >= 0.0, float(nodes[k]),
+                               float(nodes[k + 1]), 0.0)
+            roots.append(0.5 * (a + b))
+        found += [CurvePoint(beta=b, alpha=alpha_field(c, b, params, field_sign), branch=branch)
+                  for b in roots]
     found.sort(key=lambda p: p.beta)
     return IntersectionSet(c=c, points=tuple(found))
 
@@ -699,7 +706,7 @@ def gamma_plus_threshold(params: ModelParams) -> GammaPlusClassification:
         return t / ((t * t + ck2) * (t + 2.0))
 
     t_hi = _expand(lambda t: t * t * (t + 1.0) > ck2, 0.0, 1.0, "the window's peak")
-    t_peak, peak = _golden_max(shape, 0.0, t_hi, 1e-13 * max(1.0, t_hi))
+    t_peak, peak = _golden_max(shape, 0.0, t_hi)
     delta = 4.0 * mu * d * d * peak
     if not delta < mu * d / params.f_prime_0:
         raise RuntimeError(f"delta={delta} violates its theoretical bound {mu*d/params.f_prime_0}")
@@ -888,10 +895,11 @@ def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
 def limit_bounds(params: ModelParams) -> tuple[float, float]:
     """Proven window for the limit of c*^2/D: [sqrt(4*mu^2+f'(0)^2)-2*mu, f'(0)].
 
-    The low end is evaluated as f'(0)^2/(sqrt(4*mu^2+f'(0)^2)+2*mu), the
-    algebraically identical form that does not cancel for large mu.
+    The low end is evaluated as f'(0)^2/(hypot(2*mu, f'(0))+2*mu), the
+    algebraically identical form that does not cancel for large mu, and
+    whose hypot does not overflow in 4*mu^2 (mu = 1e300 gives 2.5e-301).
     """
     _require_normalized(params)
     mu, fp0 = params.mu, params.f_prime_0
-    low = fp0 * fp0 / (math.sqrt(4.0 * mu * mu + fp0 * fp0) + 2.0 * mu)
+    low = fp0 * fp0 / (math.hypot(2.0 * mu, fp0) + 2.0 * mu)
     return (low, fp0)

@@ -316,9 +316,10 @@ def test_intersections_exactly_two_above_critical():
 @pytest.mark.parametrize("D", [1e4, 1e6, 1e8])
 def test_intersections_find_the_narrow_crossings_at_large_D(D):
     # just above c* the two crossings sit closer together than the even
-    # scan's node spacing (about 0.12 at D = 1e6); the gap's argmax splits
-    # their cell.  The lower field branch must keep its digits at large c:
-    # as the difference (c - sqrt(disc))/(2d) it left 6.3e-9 at D = 1e8
+    # scan's node spacing (about 0.12 at D = 1e6); the gap's argmax, a scan
+    # node of its own, sits between them.  The lower field branch must keep
+    # its digits at large c: as the difference (c - sqrt(disc))/(2d) it left
+    # 6.3e-9 at D = 1e8
     p = make(D)
     c_star = rf.critical_speed(p).c_star
     for above in (1e-6, 1e-3, 0.1):
@@ -528,12 +529,29 @@ def test_limit_bounds_values():
     assert hi == 1.0
 
 
+def test_limit_bounds_do_not_overflow_at_a_huge_exchange_rate():
+    # 4 mu^2 overflows at mu = 1e300; the low end f'(0)^2/(2 mu + hypot(2 mu, f'(0)))
+    # is homogeneous of degree 1 in (mu, f'(0)) and comes out 1/(4 mu), not 0
+    lo, hi = rf.limit_bounds(make(4.0, mu=1e300))
+    assert lo == pytest.approx(2.5e-301, rel=1e-15, abs=0.0)
+    assert hi == 1.0
+
+
 def test_limit_bounds_ordered():
     rng = np.random.default_rng(37)
     for _ in range(100):
         p = make(1.0, mu=rng.uniform(1e-3, 1e3), fp0=rng.uniform(1e-3, 1e3))
         lo, hi = rf.limit_bounds(p)
         assert 0.0 < lo < hi
+
+
+def test_branch_roots_keep_their_digits_at_tiny_speeds():
+    # the round-off clamp is 1e-13 c^2: an absolute floor of 1e-13 zeroed both
+    # discriminants at c = 3e-40 and gave the double roots 1.5 and 0.375
+    p = make(4e-40, d=1e-40, fp0=1e-40)
+    assert rf.alpha_field(3e-40, 0.0, p, "+") == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0,
+                                                              rel=1e-15)
+    assert rf.alpha_road(3e-40, 0.0, p, "+") == pytest.approx(0.75, rel=1e-15)
 
 
 # --- cross-cutting residual invariant -------------------------------------------------
@@ -833,7 +851,8 @@ def test_expand_raises_a_bracket_error_on_a_step_that_cannot_grow(base, past):
 
 
 def test_golden_max_ends_at_float_resolution():
-    # at b = 1e4 the float spacing, 1.8e-12, exceeds BETA_REFINE_TOL
+    # at b = 1e4 the float spacing is 1.8e-12; the values of this peak do not
+    # tie, so the section runs until a golden point rounds onto an end
     calls = []
 
     def f(t):
@@ -841,8 +860,22 @@ def test_golden_max_ends_at_float_resolution():
         assert len(calls) < 1000, "golden section does not end"
         return -(t - 1e4 - 3e-7) ** 2
 
-    x, _ = dispersion._golden_max(f, 1e4, 1e4 + 1e-6, dispersion.BETA_REFINE_TOL)
+    x, _ = dispersion._golden_max(f, 1e4, 1e4 + 1e-6)
     assert abs(x - (1e4 + 3e-7)) <= 4e-12
+
+
+def test_golden_max_ends_once_a_flat_peak_at_zero_ties():
+    # the strip's gap peaks at b = 0 with a nonzero height; stopped at float
+    # resolution alone, the section sank through the subnormals below 1e-308
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 - t * t
+
+    x, fx = dispersion._golden_max(f, 0.0, 1e-3)
+    assert len(calls) < 100
+    assert fx == 1.0 and 0.0 <= x <= 1e-7
 
 
 def test_a_tiny_exchange_rate_keeps_the_b_interval_off_the_pole():
@@ -912,3 +945,59 @@ def test_published_speeds_keep_their_bits():
         digest.update(" ".join(x.hex() for x in (res.c_star, *res.bracket,
                                                  res.tangency.beta)).encode())
     assert digest.hexdigest() == STRIP_SHA256
+
+
+# --- the exact scale map -----------------------------------------------------------
+
+
+def _scaled(p, s):
+    """(D, d, mu, f'(0)) -> (D/s, d/s, s mu, s f'(0)): a and b times s, c unchanged (nu = 1)."""
+    return make(p.D / s, d=p.d / s, mu=s * p.mu, fp0=s * p.f_prime_0)
+
+
+def _strip_speed(p, L, full):
+    try:
+        return rf.strip_critical_speed(p, L, full=full).c_star
+    except NoTangencyError:
+        return None
+
+
+def test_a_scaled_input_gets_the_unscaled_speed_and_crossings():
+    # D = 4, d = mu = f'(0) = 1 at s = 2^-30: the golden section stopped at an
+    # absolute 1e-12 in b, on a b interval about 1e-10 wide, and c* came out
+    # 4.6e-8 high; an absolute 1e-9 merged the two crossings at s = 2^-30 and 2^-40
+    p = make(4.0)
+    assert rf.critical_speed(_scaled(p, 2.0**-30)).c_star == 2.269289220080505
+    c = 1.001 * rf.critical_speed(p).c_star
+    for k in (-30, -40):
+        assert len(rf.intersections(c, _scaled(p, 2.0**k)).points) == 2
+
+
+def test_the_solvers_commute_with_the_exact_scale_map():
+    # for s = 2^k every search in b scales with b: c*, the strip threshold at
+    # L/s and limit_speed/sqrt(s) (sqrt(s) is exact for even k) keep their
+    # value to 2 ulps, and the crossings at a fixed speed keep their number
+    def near(x, y):
+        return x == y or (x is not None and y is not None and abs(x - y) <= 2.0 * math.ulp(y))
+
+    rng = np.random.default_rng(2022)
+    misses = []
+    for _ in range(10):
+        d, mu, fp0 = (float(x) for x in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3)))
+        p = make(d * math.exp(rng.uniform(math.log(2.0001), math.log(1e5))), d=d, mu=mu, fp0=fp0)
+        L = float(rng.uniform(0.5, 30.0))
+        full = rf.critical_speed(p)
+        strip, limit = _strip_speed(p, L, full), rf.limit_speed(p)
+        c = 1.001 * full.c_star
+        crossings = len(rf.intersections(c, p).points)
+        for k in range(-60, 61, 5):
+            s = 2.0**k
+            q = _scaled(p, s)
+            full_q = rf.critical_speed(q)
+            got = {"c*": (full_q.c_star, full.c_star),
+                   "strip": (_strip_speed(q, L / s, full_q), strip),
+                   "crossings": (len(rf.intersections(c, q).points), crossings)}
+            if k % 2 == 0:
+                got["limit"] = (rf.limit_speed(q) / math.sqrt(s), limit)
+            misses += [(p, L, k, name, x, y) for name, (x, y) in got.items() if not near(x, y)]
+    assert misses == []
