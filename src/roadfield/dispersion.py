@@ -30,9 +30,9 @@ derived from the system once it is built:
   array, so one float evaluation costs microseconds and gives bit for
   bit the matching element of an array evaluation;
 - the gap in c, ``_gap_and_argmax``: the gap maximised over the b
-  interval by one maximiser, ``_max_gap`` (a dense grid scan, then
-  golden-section refinement, ``_golden_max``, which stops once its two
-  interior values tie); it changes sign at the speed;
+  interval by one maximiser (a dense grid scan, then golden-section
+  refinement, ``_golden_max``, which stops once its two interior values
+  tie); it changes sign at the speed;
 - the speed, ``_tangent_speed``, one function that seeds, solves,
   certifies and falls back, taking the gap in c from the system itself
   (``critical_speed`` certifies through the public :func:`curve_gap`,
@@ -51,10 +51,11 @@ derived from the system once it is built:
   midpoint is reported.
 
 One bisection, ``_bisect_gap``, brackets every root here, including the
-crossings in :func:`intersections` and the window speeds in
-:func:`gamma_plus_threshold`, and one doubling, ``_expand``, finds every
-upper bracket end.  A bisection stops at its width in c (or in t, the
-window's variable) or at float resolution, the golden section once its
+crossings in :func:`intersections` and the peak and the two speeds of the
+window in :func:`gamma_plus_threshold`, and one doubling, ``_expand``,
+finds every upper bracket end.  A bisection stops at its width in c or at
+float resolution (the crossings and the window's roots have width 0, and
+the window's peak a closed-form bracket), the golden section once its
 interior values tie or at float resolution, and a bracket search that
 cannot grow raises :class:`BracketError`.  No search in b has a width of
 its own: with nu = 1 the map (D, d, mu, f'(0)) -> (D/s, d/s, s mu,
@@ -312,8 +313,9 @@ class _Tangency:
     limit parabola).  ``h(b)`` is the exchange term, one ufunc-only
     expression valid on a float or an array; ``slopes(b)`` gives h' and h''
     for Newton.  ``b_range(c)`` is the admissible b interval of the gap at
-    speed c.  ``ck2`` is 4 field f'(0), written c_KPP^2 = c_kpp(params)**2
-    for a circle so the field root is exact at b = 0, c = c_KPP.  Newton
+    speed c.  ``ck2`` is 4 field f'(0), written c_KPP * c_KPP for a circle
+    so the field root is exact at b = 0, c = c_KPP (inf, not an
+    OverflowError, once c_KPP passes 1.3e154).  Newton
     keeps b above ``b_min``.  An ``even`` system (the strip) has the root
     at -b wherever it has one at b, and reports b >= 0.
     """
@@ -338,7 +340,7 @@ def _half_plane(params: ModelParams) -> _Tangency:
     beta_D rounds onto the pole b = -1/d of h once mu/f'(0) or f'(0)/mu
     passes about 1e17 (D = 4d), and the gap would divide by zero there.
     """
-    d = params.d
+    d, ck = params.d, c_kpp(params)
     mud = params.mu * d
     floor = (2.0**-50 - 1.0) / d
 
@@ -355,7 +357,7 @@ def _half_plane(params: ModelParams) -> _Tangency:
         return max(beta_D(c, params), -reach, floor), reach
 
     return _Tangency(params.D, d, h, slopes, b_range, d, params.f_prime_0,
-                     c_kpp(params) ** 2, -1.0 / d)
+                     ck * ck, -1.0 / d)
 
 
 def _road_disc(system: _Tangency, c: float, b):
@@ -421,34 +423,28 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return x, f(x)
 
 
-def _max_gap(gap: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-             coarse: bool = False) -> tuple[float, float]:
-    """(max, argmax) of a vectorised gap(b) over [lo, hi].
+def _gap_and_argmax(system: _Tangency, c: float, coarse: bool = False) -> tuple[float, float]:
+    """(max, argmax) of the system's gap over its b interval [lo, hi] at speed c.
 
     A dense grid scan finds the best node; golden-section refinement between
     its neighbours replaces it only when it does at least as well.  An empty
     interval (hi <= lo) gives the value at lo.  ``coarse`` returns the best
     of ``SEED_POINTS`` nodes instead: a lower bound on the max, for seeds.
     """
+    lo, hi = system.b_range(c)
     if hi <= lo:
-        return float(gap(lo)), lo
+        return float(_gap(system, c, lo)), lo
     grid = np.linspace(lo, hi, SEED_POINTS if coarse else GRID_POINTS)
-    vals = gap(grid)
+    vals = _gap(system, c, grid)
     k = int(np.argmax(vals))
     if coarse:
         return float(vals[k]), float(grid[k])
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, GRID_POINTS - 1)]
-    x, fx = _golden_max(lambda t: float(gap(t)), a, b)
+    x, fx = _golden_max(lambda t: float(_gap(system, c, t)), a, b)
     if fx >= vals[k]:
         return fx, x
     return float(vals[k]), float(grid[k])
-
-
-def _gap_and_argmax(system: _Tangency, c: float, coarse: bool = False) -> tuple[float, float]:
-    """(max, argmax) of the system's gap over its b interval at speed c."""
-    lo, hi = system.b_range(c)
-    return _max_gap(lambda b: _gap(system, c, b), lo, hi, coarse)
 
 
 def curve_gap(c: float, params: ModelParams) -> float:
@@ -693,23 +689,34 @@ def gamma_plus_threshold(params: ModelParams) -> GammaPlusClassification:
     """Classify whether the two upper branches also intersect (D on (2d, 2d+delta]).
 
     delta = 4*mu*d^2 * max_{t>0} t/((t^2+c_KPP^2)(t+2)); the objective rises
-    then falls (its stationarity condition is t^2(t+1) = c_KPP^2) so a
-    golden-section search on a doubling bracket finds the peak.  Inside the
-    window the crossing speeds come from the two positive roots of
+    then falls, and its peak t* solves t^2(t+1) = c_KPP^2, whose left side
+    already exceeds c_KPP^2 at t = max(c_KPP, c_KPP^(2/3)).  With c_KPP^2 =
+    4 d f'(0), delta is (mu d/f'(0)) r, r = c_KPP^2 t*/((t*^2+c_KPP^2)(t*+2));
+    r <= 1 in floats too, so delta never passes its bound mu d/f'(0) and
+    meets it once r rounds to 1 (c_KPP past about 1e24).  Inside the window
+    the crossing speeds come from the two positive roots t1 <= t* <= t2 of
     (D-2d)(t^2+c_KPP^2)(t+2) = 4*mu*d^2*t via c~ = sqrt(t^2 + c_KPP^2).
+    Each of t*, t1 and t2 is bisected to float resolution, on
+    [0, max(c_KPP, c_KPP^(2/3))], [0, t*] and a bracket doubled from t*, so
+    no width or start of its own enters.  A c_KPP^2 that overflows raises
+    :class:`BracketError`.
     """
     _require_normalized(params)
-    ck2 = c_kpp(params) ** 2
+    ck = c_kpp(params)
+    ck2 = ck * ck
     d, mu, D = params.d, params.mu, params.D
+    if not math.isfinite(ck2):
+        raise BracketError(f"no bracket for the window's peak: c_KPP^2 overflows at c_KPP = {ck}")
 
-    def shape(t: float) -> float:
-        return t / ((t * t + ck2) * (t + 2.0))
+    def root(past: Callable[[float], bool], lo: float, hi: float) -> float:
+        lo, hi = _bisect_gap(past, lo, hi, 0.0)
+        return 0.5 * (lo + hi)
 
-    t_hi = _expand(lambda t: t * t * (t + 1.0) > ck2, 0.0, 1.0, "the window's peak")
-    t_peak, peak = _golden_max(shape, 0.0, t_hi)
-    delta = 4.0 * mu * d * d * peak
-    if not delta < mu * d / params.f_prime_0:
-        raise RuntimeError(f"delta={delta} violates its theoretical bound {mu*d/params.f_prime_0}")
+    t_peak = root(lambda t: t * t * (t + 1.0) > ck2, 0.0, max(ck, ck ** (2.0 / 3.0)))
+    bound = mu * d / params.f_prime_0
+    delta = bound * (ck2 * t_peak / ((t_peak * t_peak + ck2) * (t_peak + 2.0)))
+    if not delta <= bound:
+        raise RuntimeError(f"delta={delta} violates its theoretical bound {bound}")
 
     if not (2.0 * d < D <= 2.0 * d + delta):
         return GammaPlusClassification(delta=delta, intersects=False)
@@ -717,17 +724,13 @@ def gamma_plus_threshold(params: ModelParams) -> GammaPlusClassification:
     def crossing(t: float) -> float:
         return (D - 2.0 * d) * (t * t + ck2) * (t + 2.0) - 4.0 * mu * d * d * t
 
-    def root(past: Callable[[float], bool], lo: float, hi: float) -> float:
-        lo, hi = _bisect_gap(past, lo, hi, 1e-13 * max(1.0, hi))
-        return 0.5 * (lo + hi)
-
     if crossing(t_peak) >= 0.0:
         # at the window's top edge the two roots meet at the peak
         t1 = t2 = t_peak
     else:
         # crossing falls through t1 and rises through t2
         t1 = root(lambda t: crossing(t) <= 0.0, 0.0, t_peak)
-        hi = _expand(lambda t: crossing(t) > 0.0, 0.0, max(2.0 * t_peak, 1.0), "the window's top")
+        hi = _expand(lambda t: crossing(t) > 0.0, t_peak, 2.0 * t_peak, "the window's top")
         t2 = root(lambda t: crossing(t) >= 0.0, t_peak, hi)
     return GammaPlusClassification(
         delta=delta,
@@ -895,11 +898,13 @@ def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
 def limit_bounds(params: ModelParams) -> tuple[float, float]:
     """Proven window for the limit of c*^2/D: [sqrt(4*mu^2+f'(0)^2)-2*mu, f'(0)].
 
-    The low end is evaluated as f'(0)^2/(hypot(2*mu, f'(0))+2*mu), the
-    algebraically identical form that does not cancel for large mu, and
-    whose hypot does not overflow in 4*mu^2 (mu = 1e300 gives 2.5e-301).
+    The low end is evaluated as f'(0) (f'(0)/(hypot(2*mu, f'(0))+2*mu)), the
+    algebraically identical form that does not cancel for large mu, whose
+    hypot does not overflow in 4*mu^2 (mu = 1e300 gives 2.5e-301), and
+    whose ratio, at most 1, does not overflow in f'(0)^2 (f'(0) = 1e155
+    gives 1e155).
     """
     _require_normalized(params)
     mu, fp0 = params.mu, params.f_prime_0
-    low = fp0 * fp0 / (math.hypot(2.0 * mu, fp0) + 2.0 * mu)
+    low = fp0 * (fp0 / (math.hypot(2.0 * mu, fp0) + 2.0 * mu))
     return (low, fp0)

@@ -380,9 +380,6 @@ def _blowup_cap(u0: np.ndarray, v0: np.ndarray, params: ModelParams) -> float | 
     invariant region [0, nu/mu M] x [0, M] of the exchange.
     """
     ratio = params.mu / params.nu
-    if u0.ndim == 1:
-        # Python floats: numpy's scalar maximum is a measurable share of a one-state step
-        return 10.0 * max(1.0, float(v0.max()), ratio * float(u0.max()))
     return 10.0 * np.maximum(1.0, np.maximum(v0.max(axis=(-2, -1)), ratio * u0.max(axis=-1)))
 
 

@@ -108,6 +108,56 @@ def scipy_delta_peak(params: ModelParams) -> float:
     return float(optimize.brentq(lambda t: t * t * (t + 1.0) - ck2, 1e-12, 1e6, xtol=1e-14))
 
 
+def mp_upper_branch_window(params: ModelParams, dps: int = 60
+                           ) -> tuple[float, float | None, float | None]:
+    """(delta, c~1, c~2) of the upper-branch window by dps-digit bisection.
+
+    The same equations as the package, solved in dps digits: the peak t*
+    of t/((t^2 + c_KPP^2)(t + 2)) from t^2 (t + 1) = c_KPP^2, then the roots
+    t1 <= t* <= t2 of (D - 2d)(t^2 + c_KPP^2)(t + 2) = 4 mu d^2 t, with
+    c~ = sqrt(t^2 + c_KPP^2).  Each root is bisected to 1e-30 of its size;
+    t* and t2 on a bracket found by halving or doubling a step of 1 above 0
+    and t*, t1 on [0, t*].  The speeds are None outside the window.
+    """
+    with mpmath.workdps(dps):
+        D, d, mu, fp0 = (mpmath.mpf(x) for x in (params.D, params.d, params.mu,
+                                                 params.f_prime_0))
+        ck2 = 4 * d * fp0
+
+        def bisect(f, lo, hi):
+            # f(lo) <= 0 < f(hi)
+            while hi - lo > mpmath.mpf("1e-30") * hi:
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if f(mid) > 0 else (mid, hi)
+            return (lo + hi) / 2
+
+        def above(f, base):
+            # f(base + step/2) <= 0 < f(base + step), f's one sign change above base
+            step = mpmath.mpf(1)
+            while f(base + step / 2) > 0:
+                step /= 2
+            while not f(base + step) > 0:
+                step *= 2
+            return base + step / 2, base + step
+
+        def stationary(t):
+            return t * t * (t + 1) - ck2
+
+        t_peak = bisect(stationary, *above(stationary, mpmath.mpf(0)))
+        delta = 4 * mu * d * d * t_peak / ((t_peak * t_peak + ck2) * (t_peak + 2))
+        if not 0 < D - 2 * d <= delta:
+            return float(delta), None, None
+
+        def crossing(t):
+            return (D - 2 * d) * (t * t + ck2) * (t + 2) - 4 * mu * d * d * t
+
+        # crossing falls through t1 on [0, t*] and rises through t2 above t*
+        t1 = bisect(lambda t: -crossing(t), mpmath.mpf(0), t_peak)
+        t2 = bisect(crossing, *above(crossing, t_peak))
+        return (float(delta), float(mpmath.sqrt(t1 * t1 + ck2)),
+                float(mpmath.sqrt(t2 * t2 + ck2)))
+
+
 def dense_limit_speed(params: ModelParams, tol: float = 1e-10, n_beta: int = 20_000) -> float:
     """Tangency speed of the large-D limiting system by dense scanning."""
     d, mu, fp0 = params.d, params.mu, params.f_prime_0

@@ -294,9 +294,9 @@ def test_limit_row(tmp_path):
 
 # --- every dispersion search ends ----------------------------------------------------------
 
-# inputs on which a dispersion search used to run on without end, or returned
-# its first bracket end c_KPP + 1 after numpy warnings: argv, and the
-# ModelParams keywords they set
+# inputs on which a dispersion search used to run on without end, returned
+# its first bracket end c_KPP + 1 after numpy warnings, or ended in a
+# traceback: argv, and the ModelParams keywords they set
 EXTREME_INPUTS = {
     "limit-mu1e60": (("limit", "--set", "mu=1e60"), {"mu": 1e60}),
     "speed-nu1e100": (("speed", "--set", "D=4", "--set", "nu=1e100"), {"D": 4.0, "nu": 1e100}),
@@ -305,6 +305,11 @@ EXTREME_INPUTS = {
                        {"D": 4.0, "f_prime_0": 1e40}),
     "speed-nu1e-300": (("speed", "--set", "D=4", "--set", "nu=1e-300"), {"D": 4.0, "nu": 1e-300}),
     "speed-fp0_1e17": (("speed", "--set", "D=4", "--set", "fp0=1e17"), {"D": 4.0, "f_prime_0": 1e17}),
+    # c_KPP = 2e154, whose square overflows
+    "speed-ck2_inf": (("speed", "--set", "D=4e154", "--set", "d=1e154", "--set", "fp0=1e154"),
+                      {"D": 4e154, "d": 1e154, "f_prime_0": 1e154}),
+    "strip-ck2_inf": (("strip", "--set", "D=4e154", "--set", "d=1e154", "--set", "fp0=1e154",
+                       "--L", "1"), {"D": 4e154, "d": 1e154, "f_prime_0": 1e154}),
 }
 
 

@@ -16,6 +16,7 @@ from oracles import (
     dense_gap,
     dense_limit_speed,
     mp_critical_speed,
+    mp_upper_branch_window,
     scipy_delta,
     strip_prefactor_series,
 )
@@ -409,6 +410,43 @@ def test_gamma_plus_root_trends_in_D():
     assert all(b < a for a, b in zip(c2s, c2s[1:]))
 
 
+
+def test_the_window_top_edge_is_a_double_root_to_float_resolution():
+    # at D = 2d + delta the two roots meet at the peak t*, t*^2 (t* + 1) = 4, so
+    # c~1 = c~2 = sqrt(t*^2 + 4) = 2.3933581431395475872... (60 digits)
+    delta = rf.gamma_plus_threshold(make(4.0)).delta
+    g = rf.gamma_plus_threshold(make(2.0 + delta))
+    exact = 2.3933581431395475872
+    assert g.c_tilde_1 == g.c_tilde_2
+    assert abs(g.c_tilde_1 - exact) <= math.ulp(exact)
+
+
+def test_the_window_matches_a_60_digit_bisection_across_80_decades():
+    # c_KPP from 2e-40 to 2e40: the window's variable t scales with c_KPP, so no
+    # absolute start or width may enter.  D = 2d + s delta keeps the sets where
+    # D - 2d does not round away against 2d
+    decades = (1e-40, 1e-8, 1.0, 1e8, 1e40)
+    kept = 0
+    for d, mu, fp0 in itertools.product(decades, repeat=3):
+        delta = mp_upper_branch_window(make(2.0 * d, d=d, mu=mu, fp0=fp0))[0]
+        for s in (0.5, 1e-3):
+            p = make(2.0 * d + s * delta, d=d, mu=mu, fp0=fp0)
+            if not p.D - 2.0 * d > 2.0**-40 * 2.0 * d:
+                continue
+            kept += 1
+            g = rf.gamma_plus_threshold(p)
+            assert g.intersects, p
+            for got, want in zip((g.delta, g.c_tilde_1, g.c_tilde_2), mp_upper_branch_window(p)):
+                assert abs(got - want) <= 1e-14 * want, p
+    assert kept == 146
+
+
+def test_the_window_names_an_overflowing_c_kpp_squared():
+    # c_KPP = 2e154: c_KPP^2 is not a float
+    with pytest.raises(BracketError, match="c_KPP"):
+        rf.gamma_plus_threshold(make(4e154, d=1e154, fp0=1e154))
+
+
 # --- strip-truncated field ----------------------------------------------------------
 
 
@@ -535,6 +573,13 @@ def test_limit_bounds_do_not_overflow_at_a_huge_exchange_rate():
     lo, hi = rf.limit_bounds(make(4.0, mu=1e300))
     assert lo == pytest.approx(2.5e-301, rel=1e-15, abs=0.0)
     assert hi == 1.0
+
+
+def test_limit_bounds_do_not_overflow_at_a_huge_reaction_rate():
+    # f'(0)^2 overflows at f'(0) = 1e155; f'(0) (f'(0)/(2 mu + hypot(2 mu, f'(0))))
+    # keeps its ratio below 1 and comes out f'(0) - 2 mu, which rounds to f'(0)
+    lo, hi = rf.limit_bounds(make(4.0, fp0=1e155))
+    assert lo == hi == 1e155
 
 
 def test_limit_bounds_ordered():
