@@ -30,9 +30,11 @@ derived from the system once it is built:
   array, so one float evaluation costs microseconds and gives bit for
   bit the matching element of an array evaluation;
 - the gap in c, ``_gap_and_argmax``: the gap maximised over the b
-  interval by one maximiser (a dense grid scan, then golden-section
-  refinement, ``_golden_max``, which stops once its two interior values
-  tie); it changes sign at the speed;
+  interval by one golden section, ``_golden_max``, which stops once its
+  two interior values tie; it changes sign at the speed.  The half-plane
+  and limit gaps are concave in b, so the section runs over the whole
+  interval; the strip's is not, and a dense grid scan first picks the
+  two cells around its best node;
 - the speed, ``_tangent_speed``, one function that seeds, solves,
   certifies and falls back, taking the gap in c from the system itself
   (``critical_speed`` certifies through the public :func:`curve_gap`,
@@ -101,7 +103,7 @@ __all__ = [
     "limit_bounds",
 ]
 
-GRID_POINTS = 2048          # dense scan of the admissible b interval
+GRID_POINTS = 2048          # dense scan of the strip's b interval (not concave)
 CROSSING_SCAN_POINTS = 4096  # scan of each branch pair in intersections
 DEFAULT_TOL = 1e-8          # width in c of a certified bracket
 SEED_POINTS = 64            # coarse scan behind the Newton seed, no refinement
@@ -317,7 +319,9 @@ class _Tangency:
     so the field root is exact at b = 0, c = c_KPP (inf, not an
     OverflowError, once c_KPP passes 1.3e154).  Newton
     keeps b above ``b_min``.  An ``even`` system (the strip) has the root
-    at -b wherever it has one at b, and reports b >= 0.
+    at -b wherever it has one at b, and reports b >= 0.  A ``concave``
+    system's gap is concave in b on ``b_range(c)`` (the half-plane and the
+    limit, see ``_golden_max``), so its max needs no grid scan.
     """
 
     road: float
@@ -330,6 +334,7 @@ class _Tangency:
     ck2: float
     b_min: float
     even: bool = False
+    concave: bool = False
 
 
 def _half_plane(params: ModelParams) -> _Tangency:
@@ -357,7 +362,7 @@ def _half_plane(params: ModelParams) -> _Tangency:
         return max(beta_D(c, params), -reach, floor), reach
 
     return _Tangency(params.D, d, h, slopes, b_range, d, params.f_prime_0,
-                     ck * ck, -1.0 / d)
+                     ck * ck, -1.0 / d, concave=True)
 
 
 def _road_disc(system: _Tangency, c: float, b):
@@ -395,6 +400,15 @@ def _gap(system: _Tangency, c: float, b):
 def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """Golden-section maximisation of a unimodal f on [a, b]: (argmax, max).
 
+    On the half-plane and limit systems unimodality is a theorem: on the b
+    interval both discriminants are >= 0, the upper road root
+    (c + sqrt(c^2 + 4 road h(b)))/(2 road) is concave (sqrt is concave and
+    increasing, and h(b) = mu d b/(1 + d b) is concave and increasing), and
+    the lower field root, the circle's lower arc or the parabola
+    (f'(0) + d b^2)/c, is convex; so the gap is concave.  The strip's h is
+    even and flat at b = 0, its gap is not concave, and only it is
+    scanned first (``_gap_and_argmax``).
+
     The section learns only from the comparison f1 < f2 of its two interior
     values, so it stops once they are equal: the peak of a unimodal f then
     lies between them, and further steps would follow the rounding of f,
@@ -426,14 +440,19 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
 def _gap_and_argmax(system: _Tangency, c: float, coarse: bool = False) -> tuple[float, float]:
     """(max, argmax) of the system's gap over its b interval [lo, hi] at speed c.
 
-    A dense grid scan finds the best node; golden-section refinement between
-    its neighbours replaces it only when it does at least as well.  An empty
-    interval (hi <= lo) gives the value at lo.  ``coarse`` returns the best
-    of ``SEED_POINTS`` nodes instead: a lower bound on the max, for seeds.
+    A ``concave`` system (the half-plane, the limit) takes one golden
+    section over [lo, hi].  The strip scans ``GRID_POINTS`` nodes first;
+    golden-section refinement between the best node's neighbours replaces
+    it only when it does at least as well.  An empty interval (hi <= lo)
+    gives the value at lo.  ``coarse`` returns the best of ``SEED_POINTS``
+    nodes instead, on every system: a lower bound on the max, for seeds.
     """
     lo, hi = system.b_range(c)
     if hi <= lo:
         return float(_gap(system, c, lo)), lo
+    if system.concave and not coarse:
+        x, fx = _golden_max(lambda t: float(_gap(system, c, t)), lo, hi)
+        return fx, x
     grid = np.linspace(lo, hi, SEED_POINTS if coarse else GRID_POINTS)
     vals = _gap(system, c, grid)
     k = int(np.argmax(vals))
@@ -453,7 +472,9 @@ def curve_gap(c: float, params: ModelParams) -> float:
     G(c) = max over admissible b of (alpha_road(c,b,+) - alpha_field(c,b,-)),
     with b ranging over [max(beta_D(c), -beta_kpp(c)), beta_kpp(c)].
     G(c) >= 0 exactly when the two loci intersect, and G is strictly
-    increasing in c, so the critical speed is its unique sign change.
+    increasing in c, so the critical speed is its unique sign change.  The
+    difference is concave in b, so one golden section over the interval
+    finds its max, with no grid scan.
     """
     _require_normalized(params)
     if params.D <= 0:
@@ -784,7 +805,8 @@ def _strip(params: ModelParams, L: float) -> _Tangency:
         return -hb * r * p1, hb * r * (2.0 * r * p1 * p1 - p2)
 
     return replace(_half_plane(params), h=h, slopes=slopes,
-                   b_range=lambda c: (0.0, beta_kpp(c, params)), b_min=-math.inf, even=True)
+                   b_range=lambda c: (0.0, beta_kpp(c, params)), b_min=-math.inf, even=True,
+                   concave=False)
 
 
 def strip_alpha_road(c: float, beta: float, L: float, params: ModelParams) -> float:
@@ -865,8 +887,11 @@ def _limit(params: ModelParams) -> _Tangency:
 
     def b_range(c: float) -> tuple[float, float]:
         road_sup = (c + math.sqrt(c * c + 4.0 * mu)) / 2.0
-        return (max(-c * c / (d * (c * c + 4.0 * mu)), floor),
-                math.sqrt(max((c * road_sup - fp0) / d, 0.0)))
+        top = math.sqrt(max((c * road_sup - fp0) / d, 0.0))
+        if top == math.inf:
+            # a tiny d overflows the quotient (d = 1e-300, f'(0) = 1e300): root it apart
+            top = math.sqrt(c * road_sup - fp0) / math.sqrt(d)
+        return (max(-c * c / (d * (c * c + 4.0 * mu)), floor), top)
 
     return replace(_half_plane(params), road=1.0, field=0.0, ck2=0.0, b_range=b_range)
 

@@ -582,6 +582,17 @@ def test_limit_bounds_do_not_overflow_at_a_huge_reaction_rate():
     assert lo == hi == 1e155
 
 
+def test_limit_speed_stays_in_its_window_when_the_b_interval_overflows():
+    # at d = 1e-300, f'(0) = 1e300 the top of the limit's b interval,
+    # sqrt((c road_sup - f'(0))/d), overflowed to inf near c = 2e150, and
+    # c^2 came out 4e300 against the window [1e300, 1e300]
+    p = make(1.0, d=1e-300, fp0=1e300)
+    assert math.isfinite(dispersion._limit(p).b_range(2e150)[1])
+    lo, hi = rf.limit_bounds(p)
+    c = rf.limit_speed(p)
+    assert lo - 4.0 * math.ulp(lo) <= c * c <= hi + 4.0 * math.ulp(hi)
+
+
 def test_limit_bounds_ordered():
     rng = np.random.default_rng(37)
     for _ in range(100):
@@ -624,6 +635,33 @@ def test_gap_argmax_is_interior_peak():
     p = make(4.0)
     res = rf.critical_speed(p)
     assert 0.0 < res.tangency.beta < rf.beta_kpp(res.c_star, p)
+
+
+def test_the_half_plane_and_limit_gaps_are_concave_in_b():
+    # the upper road root (c + sqrt(c^2 + 4 road h(b)))/(2 road) is concave,
+    # h being concave and increasing; the lower field root (the circle's lower
+    # arc, or the parabola (f'(0) + d b^2)/c) is convex: so the gap has no
+    # positive second difference beyond rounding, and one golden section over
+    # the whole b interval is at least as high as the best of 4001 nodes
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        d, mu, fp0 = (float(x) for x in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3)))
+        p = make(d * math.exp(rng.uniform(math.log(2.0001), math.log(1e5))), d=d, mu=mu, fp0=fp0)
+        for system, speed in ((dispersion._half_plane(p), rf.critical_speed(p).c_star),
+                              (dispersion._limit(p), rf.limit_speed(p))):
+            assert system.concave
+            for share in (0.999, 1.0, 1.01, 1.5):
+                # the circle exists from c_KPP on
+                c = max(share * speed, rf.c_kpp(p)) if system.field else share * speed
+                b = np.linspace(*system.b_range(c), 4001)
+                road = dispersion._root(c, dispersion._road_disc(system, c, b), 2.0 * system.road)
+                field = dispersion._lower_root(system, c, b)
+                gap = road - field
+                rounding = 8.0 * eps * np.max(np.abs(road) + np.abs(field))
+                assert np.max(gap[:-2] - 2.0 * gap[1:-1] + gap[2:]) <= rounding, (p, c)
+                assert dispersion._gap_and_argmax(system, c)[0] >= np.max(gap) - rounding, (p, c)
+    assert not dispersion._strip(p, 1.0).concave
 
 
 # --- properties over random finite parameters --------------------------------------
@@ -962,6 +1000,8 @@ def test_every_search_ends_in_a_certified_speed_or_a_named_error():
 PUBLISHED_SHA256 = "6d6062d40313798d25e7baeb1b0578446bc8404cac2163f81c7cdb46fd2fc92c"
 # sha256 of the strip threshold (c_L, its bracket, its tangency b), see below
 STRIP_SHA256 = "a4af00f53b579c14d2c48ed0721808b55d480fade993dc62eb7b318ceeedbf84"
+# sha256 of the crossings (b, a) at 1.001 c*, see below
+INTERSECTIONS_SHA256 = "a0c4e90c66429e90c5de5d8ff35a1ba0e0b454d4af4b83439d772ccfd3964463"
 
 
 def test_published_speeds_keep_their_bits():
@@ -990,6 +1030,21 @@ def test_published_speeds_keep_their_bits():
         digest.update(" ".join(x.hex() for x in (res.c_star, *res.bracket,
                                                  res.tangency.beta)).encode())
     assert digest.hexdigest() == STRIP_SHA256
+
+
+def test_crossings_keep_their_bits():
+    # (b, a) of every crossing at 1.001 c* as float.hex over 40 seeded sets,
+    # D/d log-uniform in [2.0001, 1e5]: the gap's argmax, one more scan node
+    # in intersections, may move by rounding, but the crossings may not
+    rng = np.random.default_rng(2013)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        d, mu, fp0 = (float(x) for x in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3)))
+        p = make(d * math.exp(rng.uniform(math.log(2.0001), math.log(1e5))), d=d, mu=mu, fp0=fp0)
+        points = rf.intersections(1.001 * rf.critical_speed(p).c_star, p).points
+        assert len(points) == 2
+        digest.update(" ".join(x.hex() for pt in points for x in (pt.beta, pt.alpha)).encode())
+    assert digest.hexdigest() == INTERSECTIONS_SHA256
 
 
 # --- the exact scale map -----------------------------------------------------------
