@@ -31,10 +31,10 @@ derived from the system once it is built:
   bit the matching element of an array evaluation;
 - the gap in c, ``_gap_and_argmax``: the gap maximised over the b
   interval by one golden section, ``_golden_max``, which stops once its
-  two interior values tie; it changes sign at the speed.  The half-plane
-  and limit gaps are concave in b, so the section runs over the whole
-  interval; the strip's is not, and a dense grid scan first picks the
-  two cells around its best node;
+  two interior values tie, and one evaluation at the interval's left end;
+  it changes sign at the speed.  Every system's gap is unimodal in b (the
+  half-plane's and the limit's are concave in b, the strip's in b^2), so
+  the section runs over the whole interval, with no grid scan;
 - the speed, ``_tangent_speed``, one function that seeds, solves,
   certifies and falls back, taking the gap in c from the system itself
   (``critical_speed`` certifies through the public :func:`curve_gap`,
@@ -103,7 +103,6 @@ __all__ = [
     "limit_bounds",
 ]
 
-GRID_POINTS = 2048          # dense scan of the strip's b interval (not concave)
 CROSSING_SCAN_POINTS = 4096  # scan of each branch pair in intersections
 DEFAULT_TOL = 1e-8          # width in c of a certified bracket
 SEED_POINTS = 64            # coarse scan behind the Newton seed, no refinement
@@ -319,9 +318,7 @@ class _Tangency:
     so the field root is exact at b = 0, c = c_KPP (inf, not an
     OverflowError, once c_KPP passes 1.3e154).  Newton
     keeps b above ``b_min``.  An ``even`` system (the strip) has the root
-    at -b wherever it has one at b, and reports b >= 0.  A ``concave``
-    system's gap is concave in b on ``b_range(c)`` (the half-plane and the
-    limit, see ``_golden_max``), so its max needs no grid scan.
+    at -b wherever it has one at b, and reports b >= 0.
     """
 
     road: float
@@ -334,7 +331,6 @@ class _Tangency:
     ck2: float
     b_min: float
     even: bool = False
-    concave: bool = False
 
 
 def _half_plane(params: ModelParams) -> _Tangency:
@@ -362,7 +358,7 @@ def _half_plane(params: ModelParams) -> _Tangency:
         return max(beta_D(c, params), -reach, floor), reach
 
     return _Tangency(params.D, d, h, slopes, b_range, d, params.f_prime_0,
-                     ck * ck, -1.0 / d, concave=True)
+                     ck * ck, -1.0 / d)
 
 
 def _road_disc(system: _Tangency, c: float, b):
@@ -400,14 +396,22 @@ def _gap(system: _Tangency, c: float, b):
 def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """Golden-section maximisation of a unimodal f on [a, b]: (argmax, max).
 
-    On the half-plane and limit systems unimodality is a theorem: on the b
-    interval both discriminants are >= 0, the upper road root
-    (c + sqrt(c^2 + 4 road h(b)))/(2 road) is concave (sqrt is concave and
-    increasing, and h(b) = mu d b/(1 + d b) is concave and increasing), and
-    the lower field root, the circle's lower arc or the parabola
-    (f'(0) + d b^2)/c, is convex; so the gap is concave.  The strip's h is
-    even and flat at b = 0, its gap is not concave, and only it is
-    scanned first (``_gap_and_argmax``).
+    Every system's gap is unimodal in b, a theorem.  On the b interval both
+    discriminants are >= 0, and the upper road root
+    (c + sqrt(c^2 + 4 road h))/(2 road) is concave and increasing in h.
+    Half-plane and limit: h(b) = mu d b/(1 + d b) is concave and increasing,
+    so the road root is concave in b; the lower field root, the circle's
+    lower arc or the parabola (f'(0) + d b^2)/c, is convex; so the gap is
+    concave in b.  Strip: h = mu d/P with P = d + L g(b L), g(x) = tanh(x)/x.
+    With t = (b L)^2, g = sum_k 2/(t + (k - 1/2)^2 pi^2) is convex in t,
+    and 1/g = x coth(x) = 1 + sum_k 2t/(t + k^2 pi^2) is concave in t, so
+    g g'' >= 2 g'^2.  As d > 0 and g'' >= 0, P P'' >= L^2 g g'' >= 2 P'^2,
+    so h is concave in t, hence in s = b^2.  The road root is then concave
+    in s, and the lower field root (c - sqrt(c^2 - c_KPP^2 - 4 d^2 s))/(2d)
+    is convex in s; so the gap is concave in s on [0, beta_kpp(c)^2], and
+    as s = b^2 increases on b >= 0 it is unimodal on [0, beta_kpp(c)].
+    Its max often sits at the end b = 0, which the section never evaluates;
+    ``_gap_and_argmax`` checks that end.
 
     The section learns only from the comparison f1 < f2 of its two interior
     values, so it stops once they are equal: the peak of a unimodal f then
@@ -440,30 +444,25 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
 def _gap_and_argmax(system: _Tangency, c: float, coarse: bool = False) -> tuple[float, float]:
     """(max, argmax) of the system's gap over its b interval [lo, hi] at speed c.
 
-    A ``concave`` system (the half-plane, the limit) takes one golden
-    section over [lo, hi].  The strip scans ``GRID_POINTS`` nodes first;
-    golden-section refinement between the best node's neighbours replaces
-    it only when it does at least as well.  An empty interval (hi <= lo)
-    gives the value at lo.  ``coarse`` returns the best of ``SEED_POINTS``
-    nodes instead, on every system: a lower bound on the max, for seeds.
+    The gap is unimodal in b on every system (``_golden_max``), so the max
+    is one golden section over [lo, hi], or the value at lo when that is
+    higher: the strip's max often sits at b = lo = 0, which the section
+    never evaluates, and just above c_KPP a rounding tie can stop it short
+    of that end.  An empty interval (hi <= lo) gives the value at lo.
+    ``coarse`` returns the best of ``SEED_POINTS`` nodes instead, on every
+    system: a lower bound on the max, for seeds.
     """
     lo, hi = system.b_range(c)
     if hi <= lo:
         return float(_gap(system, c, lo)), lo
-    if system.concave and not coarse:
-        x, fx = _golden_max(lambda t: float(_gap(system, c, t)), lo, hi)
-        return fx, x
-    grid = np.linspace(lo, hi, SEED_POINTS if coarse else GRID_POINTS)
-    vals = _gap(system, c, grid)
-    k = int(np.argmax(vals))
     if coarse:
+        grid = np.linspace(lo, hi, SEED_POINTS)
+        vals = _gap(system, c, grid)
+        k = int(np.argmax(vals))
         return float(vals[k]), float(grid[k])
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, GRID_POINTS - 1)]
-    x, fx = _golden_max(lambda t: float(_gap(system, c, t)), a, b)
-    if fx >= vals[k]:
-        return fx, x
-    return float(vals[k]), float(grid[k])
+    x, fx = _golden_max(lambda t: float(_gap(system, c, t)), lo, hi)
+    f_lo = float(_gap(system, c, lo))
+    return (f_lo, lo) if f_lo > fx else (fx, x)
 
 
 def curve_gap(c: float, params: ModelParams) -> float:
@@ -805,8 +804,7 @@ def _strip(params: ModelParams, L: float) -> _Tangency:
         return -hb * r * p1, hb * r * (2.0 * r * p1 * p1 - p2)
 
     return replace(_half_plane(params), h=h, slopes=slopes,
-                   b_range=lambda c: (0.0, beta_kpp(c, params)), b_min=-math.inf, even=True,
-                   concave=False)
+                   b_range=lambda c: (0.0, beta_kpp(c, params)), b_min=-math.inf, even=True)
 
 
 def strip_alpha_road(c: float, beta: float, L: float, params: ModelParams) -> float:

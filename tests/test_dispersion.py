@@ -637,31 +637,48 @@ def test_gap_argmax_is_interior_peak():
     assert 0.0 < res.tangency.beta < rf.beta_kpp(res.c_star, p)
 
 
-def test_the_half_plane_and_limit_gaps_are_concave_in_b():
-    # the upper road root (c + sqrt(c^2 + 4 road h(b)))/(2 road) is concave,
-    # h being concave and increasing; the lower field root (the circle's lower
-    # arc, or the parabola (f'(0) + d b^2)/c) is convex: so the gap has no
-    # positive second difference beyond rounding, and one golden section over
-    # the whole b interval is at least as high as the best of 4001 nodes
+def test_every_speed_problems_gap_is_unimodal_in_b():
+    # the upper road root (c + sqrt(c^2 + 4 road h))/(2 road) is concave and
+    # increasing in h.  Half-plane and limit: h is concave in b, and the lower
+    # field root (the circle's lower arc, or the parabola (f'(0) + d b^2)/c)
+    # is convex, so the gap is concave in b.  Strip: h = mu d/(d + L g(b L)),
+    # g(x) = tanh(x)/x, is concave in s = b^2, and so is the gap.  So the gap
+    # has no positive second difference beyond rounding on nodes uniform in b
+    # (in s on the strip), and the golden section with its left end is at
+    # least as high as the best of 4001 nodes, b = lo among them.  At
+    # c_KPP (1 + 1e-6) a rounding tie stops the strip's section short of its
+    # max at b = 0, which only the left end finds
     eps = np.finfo(float).eps
     rng = np.random.default_rng(2024)
+    heights = np.random.default_rng(2025)
     for _ in range(100):
         d, mu, fp0 = (float(x) for x in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3)))
         p = make(d * math.exp(rng.uniform(math.log(2.0001), math.log(1e5))), d=d, mu=mu, fp0=fp0)
-        for system, speed in ((dispersion._half_plane(p), rf.critical_speed(p).c_star),
-                              (dispersion._limit(p), rf.limit_speed(p))):
-            assert system.concave
-            for share in (0.999, 1.0, 1.01, 1.5):
+        L = float(heights.uniform(0.5, 30.0))
+        ck = rf.c_kpp(p)
+        full = rf.critical_speed(p)
+        try:
+            strip_speed = rf.strip_critical_speed(p, L, full=full).c_star
+        except NoTangencyError:
+            # a low strip: its gap is already >= 0 at c_KPP
+            strip_speed = ck
+        for system, speed in ((dispersion._half_plane(p), full.c_star),
+                              (dispersion._limit(p), rf.limit_speed(p)),
+                              (dispersion._strip(p, L), strip_speed)):
+            speeds = [share * speed for share in (0.999, 1.0, 1.01, 1.5)]
+            if system.field:
                 # the circle exists from c_KPP on
-                c = max(share * speed, rf.c_kpp(p)) if system.field else share * speed
-                b = np.linspace(*system.b_range(c), 4001)
+                speeds = [max(c, ck) for c in speeds] + [ck * (1.0 + 1e-6)]
+            for c in speeds:
+                lo, hi = system.b_range(c)
+                b = (hi * np.sqrt(np.linspace(0.0, 1.0, 4001)) if system.even
+                     else np.linspace(lo, hi, 4001))
                 road = dispersion._root(c, dispersion._road_disc(system, c, b), 2.0 * system.road)
                 field = dispersion._lower_root(system, c, b)
                 gap = road - field
                 rounding = 8.0 * eps * np.max(np.abs(road) + np.abs(field))
-                assert np.max(gap[:-2] - 2.0 * gap[1:-1] + gap[2:]) <= rounding, (p, c)
-                assert dispersion._gap_and_argmax(system, c)[0] >= np.max(gap) - rounding, (p, c)
-    assert not dispersion._strip(p, 1.0).concave
+                assert np.max(gap[:-2] - 2.0 * gap[1:-1] + gap[2:]) <= rounding, (p, L, c)
+                assert dispersion._gap_and_argmax(system, c)[0] >= np.max(gap) - rounding, (p, L, c)
 
 
 # --- properties over random finite parameters --------------------------------------
