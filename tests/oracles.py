@@ -86,6 +86,93 @@ def mp_critical_speed(params: ModelParams, dps: int = 40) -> float:
         return float(c)
 
 
+def mp_crossing_minimum(params: ModelParams, problem: str, L: float | None = None,
+                        dps: int = 50, n_scan: int = 4001) -> tuple[float, float]:
+    """(min, argmin) over b >= 0 of the crossing curve c(b), in dps digits.
+
+    Subtracting the field equation field a^2 - c a + q = 0 from the road
+    equation road a^2 - c a = h(b), with q = f'(0) + d b^2, cancels c a, so
+    each b has one crossing of the two loci, at the speed
+    c(b) = (road q + field h)/sqrt((road - field)(h + q)).  c*, the strip
+    threshold and the large-D limit are each that curve's minimum.  ``problem`` picks the system:
+    "half-plane" (road = D, field = d, h = mu d b/(1 + d b)), "strip"
+    (h = mu d/(d + L tanh(bL)/(bL)), h(0) = mu d/(d + L)) or "limit"
+    (road = 1, field = 0, the half-plane's h).  A float scan of c(b) on
+    n_scan even nodes of [0, B] finds the minimum's cell, B where the field
+    locus at the speed c(0) >= min ends, and dc/db (mpmath.diff) is solved
+    on the cell's two neighbours by findroot's Illinois method, which keeps
+    a sign change of dc/db bracketed (its residual check is off: dc/db
+    comes from numerical differentiation, whose noise can exceed the
+    check's absolute tolerance while the root is exact).  When the
+    scan's minimum is one of the first two nodes (a low strip, or a minimum
+    closer to 0 than the node spacing), the minimum sits at 0 unless dc/db
+    is already negative just above 0; then its root between there and the
+    third node is the argmin.
+    """
+    with mpmath.workdps(dps):
+        D, d, mu, fp0 = (mpmath.mpf(x) for x in (params.D, params.d, params.mu,
+                                                 params.f_prime_0))
+        road, field = (mpmath.mpf(1), mpmath.mpf(0)) if problem == "limit" else (D, d)
+        if problem == "strip":
+            height = mpmath.mpf(L)
+
+            def h(b):
+                x = b * height
+                g = mpmath.tanh(x) / x if x != 0 else mpmath.mpf(1)
+                return mu * d / (d + height * g)
+        else:
+            def h(b):
+                return mu * d * b / (1 + d * b)
+
+        def speed(b):
+            q = fp0 + d * b * b
+            return (road * q + field * h(b)) / mpmath.sqrt((road - field) * (h(b) + q))
+
+        c0 = speed(mpmath.mpf(0))
+        if problem == "limit":
+            # the parabola a = q/c meets the road only below its supremum
+            road_sup = (c0 + mpmath.sqrt(c0 * c0 + 4 * mu)) / 2
+            top = mpmath.sqrt((c0 * road_sup - fp0) / d)
+        else:
+            top = mpmath.sqrt(c0 * c0 - 4 * d * fp0) / (2 * d)
+        betas = np.linspace(0.0, float(top), n_scan)
+        k = int(np.argmin(_float_crossing_speeds(betas, float(road), float(field), params,
+                                                 problem, L)))
+        assert k < n_scan - 1, "the crossing curve's minimum lies past the scan"
+
+        def slope(b):
+            return mpmath.diff(speed, b)
+
+        if k <= 1:
+            # the strip's dc/db vanishes at b = 0, where the even c(b) has its
+            # other stationary point, so the cell starts just above 0
+            right = mpmath.mpf(float(betas[k + 1]))
+            tiny = right * mpmath.mpf("1e-20")
+            if slope(tiny) >= 0:
+                return float(c0), 0.0
+            b = mpmath.findroot(slope, (tiny, right), solver="illinois", verify=False)
+        else:
+            b = mpmath.findroot(slope, (mpmath.mpf(float(betas[k - 1])),
+                                        mpmath.mpf(float(betas[k + 1]))),
+                                solver="illinois", verify=False)
+        return float(speed(b)), float(b)
+
+
+def _float_crossing_speeds(b: np.ndarray, road: float, field: float, params: ModelParams,
+                           problem: str, L: float | None) -> np.ndarray:
+    """c(b) of :func:`mp_crossing_minimum` in floats, on an array of b >= 0."""
+    d, mu = params.d, params.mu
+    if problem == "strip":
+        x = b * L
+        g = np.ones_like(x)
+        g[x > 0] = np.tanh(x[x > 0]) / x[x > 0]
+        h = mu * d / (d + L * g)
+    else:
+        h = mu * d * b / (1.0 + d * b)
+    q = params.f_prime_0 + d * b * b
+    return (road * q + field * h) / np.sqrt((road - field) * (h + q))
+
+
 def scipy_delta(params: ModelParams) -> float:
     """Upper-branch window width via scipy's bounded scalar minimiser."""
     ck2 = c_kpp(params) ** 2
