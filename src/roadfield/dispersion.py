@@ -18,13 +18,18 @@ All speeds here are computed on nu-normalised parameters (apply
 otherwise.
 
 Each speed problem is one ``_Tangency`` system: the road equation
-road a^2 - c a = h(b), the field equation field a^2 - c a + f'(0) + d b^2
-= 0, and the admissible b interval at each c.  The half-plane has
-road = D, field = d and h(b) = mu d b/(1 + d b); the strip swaps in the
-exchange term of its wall; the large-D limit has road = 1 and field = 0,
-so its field locus is the parabola a = (f'(0) + d b^2)/c.  Everything is
+road a^2 - c a = h(b), the field equation field a^2 - c a + q(b) = 0 with
+q = f'(0) + d b^2, and the admissible b interval at each c.  The
+half-plane has road = D, field = d and h(b) = mu d b/(1 + d b); the strip
+swaps in the exchange term of its wall; the large-D limit has road = 1 and
+field = 0, so its field locus is the parabola a = q/c.  Everything is
 derived from the system once it is built:
 
+- the crossing curve c(b).  Subtracting the field equation from the road
+  equation cancels c a, so each b >= 0 has exactly one crossing of the
+  loci, at the speed c(b) = (road q + field h)/sqrt((road - field)(h + q)),
+  and every speed here (c*, the strip threshold, the large-D limit) is
+  min_b c(b): the speed at which the loci first touch;
 - the gap in b, ``_gap`` (upper road root minus lower field root), one
   expression of numpy ufuncs and arithmetic, valid on a float b or on an
   array, so one float evaluation costs microseconds and gives bit for
@@ -35,22 +40,24 @@ derived from the system once it is built:
   it changes sign at the speed.  Every system's gap is unimodal in b (the
   half-plane's and the limit's are concave in b, the strip's in b^2), so
   the section runs over the whole interval, with no grid scan;
-- the speed, ``_tangent_speed``, one function that seeds, solves,
+- the speed, ``_tangent_speed``, one function that minimises c(b),
   certifies and falls back, taking the gap in c from the system itself
   (``critical_speed`` certifies through the public :func:`curve_gap`,
-  which is the half-plane system's gap).
-  It runs Newton's method (``_newton_tangency``) on the tangency system in
-  (a, b, c), the road equation, the field equation and the vanishing of
-  their Jacobian determinant in (a, b), which needs h' and h''
-  (``slopes``).  The seed bisects a coarse ``SEED_POINTS`` scan of the gap
-  to 1 % of the bracket, and on by the same share while Newton finds no
-  root from a seed bracket still wide against its speed.  The Newton
-  speed is certified: the gap must be <= 0 at the lower end and > 0 at
-  the upper end of a bracket of width <= tol around it, which is the
-  bracket reported.  When Newton does not converge or the certificate
+  which is the half-plane system's gap).  c(0) bounds the speed, so one
+  golden section of -c(b) over [0, end of the b interval at c(0)], and
+  the end b = 0, bracket the minimiser; a 1-D Newton iteration on the
+  stationarity condition phi(b) = 2 N' S - N S' = 0 (N = road q + field h,
+  S = h + q; h' and h'' from ``slopes``) refines it to float resolution
+  in b, and c is evaluated once there.  At D = 4, d = mu = f'(0) = 1
+  that is 37 values of c(b), 2 of the gap, 2 Newton steps and about
+  180 us per c*, against about 450 us for the solve it replaced (README,
+  "Speed solvers").  The speed is certified: the gap must be <= 0 at the
+  lower end and > 0 at the upper end of a bracket of width <= tol around
+  it, which is the bracket reported.  When Newton does not converge or the certificate
   fails (e.g. a tol below the float spacing) the gap's sign change is
-  bisected to width tol on the bracket Newton was seeded in, and the
-  midpoint is reported.
+  bisected to width tol on the search bracket, and the midpoint is
+  reported.  ``SpeedResult`` carries the count of c(b) and gap values,
+  the Newton steps and whether the fallback ran.
 
 One bisection, ``_bisect_gap``, brackets every root here, including the
 crossings in :func:`intersections` and the peak and the two speeds of the
@@ -72,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -105,12 +112,13 @@ __all__ = [
 
 CROSSING_SCAN_POINTS = 4096  # scan of each branch pair in intersections
 DEFAULT_TOL = 1e-8          # width in c of a certified bracket
-SEED_POINTS = 64            # coarse scan behind the Newton seed, no refinement
-SEED_SHARE = 0.01           # the seed bisection stops at this share of its bracket
 NEWTON_STEPS = 30           # Newton gives up after this many steps
-NEWTON_RTOL = 1e-14         # converged once a step moves c by at most this share
+NEWTON_RTOL = 1e-14         # converged once a step moves b by at most this share of max(b, 1/d)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# (sinh 2x - 2x)/x^3 = sum over k >= 1 of 2^(2k+1) x^(2k-2)/(2k+1)!, highest power first;
+# at x = 1 the first term left out is 1e-20 of the sum
+_SINH_SERIES = tuple(2.0 ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(12, 0, -1))
 
 
 class Branch(Enum):
@@ -135,13 +143,23 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class SpeedResult:
-    """Critical speed with the bracketing interval that certified it."""
+    """Critical speed with the bracketing interval that certified it.
+
+    The solver's statistics: ``evaluations`` counts the values of the
+    crossing curve c(b) and of the gap in c it took, ``newton_steps`` the
+    steps of its Newton iteration, and ``fell_back`` is True when the speed
+    is the bisection midpoint instead of the certified Newton speed.  All
+    three stay at their defaults for c* = c_KPP, which needs no solve.
+    """
 
     c_star: float
     regime: Regime
     bracket: tuple[float, float]
     tol: float
     tangency: CurvePoint | None = None
+    evaluations: int = 0
+    newton_steps: int = 0
+    fell_back: bool = False
 
 
 @dataclass(frozen=True)
@@ -304,11 +322,10 @@ def _clamp_roundoff(disc: float, scale: float) -> float:
 
 @dataclass(frozen=True)
 class _Tangency:
-    """The loci behind one speed, and the tangency system in (a, b, c) Newton solves.
+    """The loci behind one speed and their crossing curve c(b).
 
-    road:     road a^2 - c a - h(b) = 0
-    field:    field a^2 - c a + f'(0) + d b^2 = 0
-    tangency: det d(road, field)/d(a, b) = 0
+    road:  road a^2 - c a - h(b) = 0
+    field: field a^2 - c a + q(b) = 0,   q = f'(0) + d b^2
 
     ``road`` is D (1 in the large-D limit) and ``field`` is d (0 for the
     limit parabola).  ``h(b)`` is the exchange term, one ufunc-only
@@ -316,9 +333,17 @@ class _Tangency:
     for Newton.  ``b_range(c)`` is the admissible b interval of the gap at
     speed c.  ``ck2`` is 4 field f'(0), written c_KPP * c_KPP for a circle
     so the field root is exact at b = 0, c = c_KPP (inf, not an
-    OverflowError, once c_KPP passes 1.3e154).  Newton
-    keeps b above ``b_min``.  An ``even`` system (the strip) has the root
-    at -b wherever it has one at b, and reports b >= 0.
+    OverflowError, once c_KPP passes 1.3e154).
+
+    Subtracting the field equation from the road equation cancels c a:
+    (road - field) a^2 = S, S = h + q.  So each b >= 0 (where h >= 0 and
+    S > 0) has exactly one crossing of the loci, at a = sqrt(S/(road -
+    field)) and the speed c(b) = N/sqrt((road - field) S), N = road q +
+    field h; ``crossing`` writes it (field a^2 + q)/a, the field equation
+    solved for c, which is N/((road - field) a) as N = (road - field)
+    (q + field a^2).  The speed is the
+    minimum of c(b), where N^2/S is stationary: ``stationarity`` gives
+    phi = 2 N' S - N S' and its derivative for Newton.
     """
 
     road: float
@@ -329,8 +354,21 @@ class _Tangency:
     d: float
     fp0: float
     ck2: float
-    b_min: float
-    even: bool = False
+
+    def crossing(self, b: float) -> float:
+        """c(b), the speed of the loci's one crossing at b >= 0, from the field equation."""
+        q = self.fp0 + self.d * b * b
+        a2 = (float(self.h(b)) + q) / (self.road - self.field)
+        return (self.field * a2 + q) / math.sqrt(a2)
+
+    def stationarity(self, b: float) -> tuple[float, float]:
+        """(phi, phi') at b, phi = 2 N' S - N S', phi' = 2 N'' S + N' S' - N S''."""
+        road, field, d = self.road, self.field, self.d
+        h, (h1, h2), q = float(self.h(b)), self.slopes(b), self.fp0 + d * b * b
+        n, n1 = road * q + field * h, 2.0 * road * d * b + field * h1
+        n2 = 2.0 * road * d + field * h2
+        s, s1, s2 = h + q, h1 + 2.0 * d * b, h2 + 2.0 * d
+        return 2.0 * n1 * s - n * s1, 2.0 * n2 * s + n1 * s1 - n * s2
 
 
 def _half_plane(params: ModelParams) -> _Tangency:
@@ -342,23 +380,22 @@ def _half_plane(params: ModelParams) -> _Tangency:
     passes about 1e17 (D = 4d), and the gap would divide by zero there.
     """
     d, ck = params.d, c_kpp(params)
-    mud = params.mu * d
+    mu = params.mu
     floor = (2.0**-50 - 1.0) / d
 
     def h(b):
-        # times the reciprocal: Newton's last rounding sets c*'s final digits
-        return mud * b * (1.0 / (1.0 + d * b))
+        # mu times a ratio of at most 1 on b >= 0: no intermediate overflows
+        return mu * (d * b / (1.0 + d * b))
 
     def slopes(b: float) -> tuple[float, float]:
         w = 1.0 / (1.0 + d * b)
-        return mud * w * w, -2.0 * mud * d * w * w * w
+        return mu * d * w * w, -2.0 * mu * d * d * w * w * w
 
     def b_range(c: float) -> tuple[float, float]:
         reach = beta_kpp(c, params)
         return max(beta_D(c, params), -reach, floor), reach
 
-    return _Tangency(params.D, d, h, slopes, b_range, d, params.f_prime_0,
-                     ck * ck, -1.0 / d)
+    return _Tangency(params.D, d, h, slopes, b_range, d, params.f_prime_0, ck * ck)
 
 
 def _road_disc(system: _Tangency, c: float, b):
@@ -411,7 +448,11 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     is convex in s; so the gap is concave in s on [0, beta_kpp(c)^2], and
     as s = b^2 increases on b >= 0 it is unimodal on [0, beta_kpp(c)].
     Its max often sits at the end b = 0, which the section never evaluates;
-    ``_gap_and_argmax`` checks that end.
+    ``_gap_and_argmax`` checks that end.  The section also finds the
+    minimum of each system's crossing curve c(b) on [0, top], as the max of
+    -c(b); that curve's unimodality is measured (20,001 nodes on 300 seeded
+    sets), not proved, and the certificate of ``_tangent_speed`` checks
+    every minimum it gives.
 
     The section learns only from the comparison f1 < f2 of its two interior
     values, so it stops once they are equal: the peak of a unimodal f then
@@ -441,7 +482,7 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return x, f(x)
 
 
-def _gap_and_argmax(system: _Tangency, c: float, coarse: bool = False) -> tuple[float, float]:
+def _gap_and_argmax(system: _Tangency, c: float) -> tuple[float, float]:
     """(max, argmax) of the system's gap over its b interval [lo, hi] at speed c.
 
     The gap is unimodal in b on every system (``_golden_max``), so the max
@@ -449,17 +490,10 @@ def _gap_and_argmax(system: _Tangency, c: float, coarse: bool = False) -> tuple[
     higher: the strip's max often sits at b = lo = 0, which the section
     never evaluates, and just above c_KPP a rounding tie can stop it short
     of that end.  An empty interval (hi <= lo) gives the value at lo.
-    ``coarse`` returns the best of ``SEED_POINTS`` nodes instead, on every
-    system: a lower bound on the max, for seeds.
     """
     lo, hi = system.b_range(c)
     if hi <= lo:
         return float(_gap(system, c, lo)), lo
-    if coarse:
-        grid = np.linspace(lo, hi, SEED_POINTS)
-        vals = _gap(system, c, grid)
-        k = int(np.argmax(vals))
-        return float(vals[k]), float(grid[k])
     x, fx = _golden_max(lambda t: float(_gap(system, c, t)), lo, hi)
     f_lo = float(_gap(system, c, lo))
     return (f_lo, lo) if f_lo > fx else (fx, x)
@@ -518,96 +552,93 @@ def _expand(past: Callable[[float], bool], base: float, x: float, what: str) -> 
     raise BracketError(f"no bracket for {what} above {base}: the step reached {x - base}")
 
 
-# --- the speed: certified Newton, else bisection ---------------------------------------
+# --- the speed: the crossing curve's minimum, certified, else bisection -------------------
 
 
-def _newton_tangency(system: _Tangency, a: float, b: float,
-                     c: float) -> tuple[float, float, float] | None:
-    """Newton's method on the tangency system from (a, b, c).
+def _newton_stationary(system: _Tangency, b: float, top: float) -> tuple[float, int]:
+    """(b, steps): Newton's method on phi(b) = 0 from b, each iterate clamped to [0, top].
 
-    Stops once a step moves c by at most NEWTON_RTOL of c (float resolution
-    one quadratic step later).  None after NEWTON_STEPS steps, on a singular
-    Jacobian, a non-finite iterate or b <= b_min, or when the root is not on
-    the upper road branch and the lower field branch.
+    Stops once a step moves b by at most NEWTON_RTOL of max(b, 1/d), one
+    quadratic step past float resolution; b = 1/d is the scale of the
+    exchange term.  A zero phi ends it where it is (the strip's b = 0).  b
+    is nan after NEWTON_STEPS steps (a nan iterate never converges), so its
+    speed c(b) is nan and fails the certificate.
     """
-    D, k, d, fp0 = system.road, system.field, system.d, system.fp0
-    for _ in range(NEWTON_STEPS):
-        if not b > system.b_min:
-            return None
-        h = system.h(b)
-        h1, h2 = system.slopes(b)
-        ra, fa, fb = 2.0 * D * a - c, 2.0 * k * a - c, 2.0 * d * b
-        residual = (D * a * a - c * a - h, k * a * a - c * a + fp0 + d * b * b, ra * fb + h1 * fa)
-        jacobian = ((ra, -h1, -a),
-                    (fa, fb, -a),
-                    (4.0 * D * d * b + 2.0 * k * h1, 2.0 * d * ra + h2 * fa, -fb - h1))
-        try:
-            da, db, dc = np.linalg.solve(jacobian, residual)
-        except np.linalg.LinAlgError:
-            return None
-        a, b, c = float(a - da), float(b - db), float(c - dc)
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-            return None
-        if abs(dc) <= NEWTON_RTOL * abs(c):
-            if not 2.0 * D * a >= c >= 2.0 * k * a:
-                return None
-            return a, abs(b) if system.even else b, c
-    return None
+    scale = 1.0 / system.d
+    for step in range(1, NEWTON_STEPS + 1):
+        phi, slope = system.stationarity(b)
+        moved = min(max(b - phi / slope, 0.0), top) if slope else (math.nan if phi else b)
+        if abs(moved - b) <= NEWTON_RTOL * max(moved, scale):
+            return moved, step
+        b = moved
+    return math.nan, NEWTON_STEPS
+
+
+def _crossing_minimum(system: _Tangency, lo: float,
+                      crossing: Callable[[float], float]) -> tuple[float, float, int]:
+    """(b*, c(b*), Newton steps): the minimum of the crossing curve ``crossing`` over b >= 0.
+
+    c(0) bounds the minimum, so the minimiser lies in [0, top], top the end
+    of the b interval at the speed c(0) (raised to lo, the lowest speed,
+    against rounding).  One golden section of -c(b) over [0, top], the end
+    b = 0 when it is at least as low (the low strip's minimum), then Newton
+    on phi from there (``_newton_stationary``) and one evaluation of c.
+    """
+    c0 = crossing(0.0)
+    top = system.b_range(max(c0, lo))[1]
+    b, c_b = _golden_max(lambda t: -crossing(t), 0.0, top)
+    if c0 <= -c_b:
+        b = 0.0
+    b, steps = _newton_stationary(system, b, top)
+    return b, crossing(b), steps
 
 
 def _tangent_speed(system: _Tangency, lo: float, hi: float, tol: float,
-                   seeds: tuple[tuple[float, float, float], ...] = (),
                    gap: Callable[[float], float] | None = None
-                   ) -> tuple[float, float, tuple[float, float]]:
-    """(c, b, bracket) where the system's gap in c changes sign in [lo, hi].
+                   ) -> tuple[float, float, tuple[float, float], dict]:
+    """(c, b, bracket, statistics) for the speed in [lo, hi].
 
-    The first seed (a, b, c) bisects the coarse gap to SEED_SHARE of
-    [lo, hi] and takes b from the coarse argmax and a from the lower field
-    root; ``seeds`` adds more.  When Newton finds no root and the seed
-    bracket is still wider than SEED_SHARE of its lower end, the bracket is
-    bisected SEED_SHARE-fold again and Newton restarts from its midpoint:
-    a bracket spanning decades (the large-D limit at large mu/f'(0)) leaves
-    the first seed far above a small speed.  Every root has gap = 0 at its
-    (b, c), so the smallest root's c is the best bound on the speed, and
-    only it is certified: a bracket of width <= tol around it, inside
-    [lo, hi], with gap <= 0 at its lower end and gap > 0 at its upper end.
-    When Newton finds no root or the certificate fails, the gap's sign
-    change is bisected on the same [lo, hi] to width tol; the speed is the
+    The speed is the minimum of the system's crossing curve c(b)
+    (``_crossing_minimum``), clamped to [lo, hi].  The gap in c changes
+    sign at the speed, and only that is certified: a bracket of width <=
+    tol around c, inside [lo, hi], with gap <= 0 at its lower end and
+    gap > 0 at its upper end.  When the certificate fails (Newton did not
+    converge, or a tol below the float spacing), the gap's sign change is
+    bisected on [lo, hi] to width tol; the speed is the
     midpoint and b the maximising b there.  The certificate and the
     fallback evaluate ``gap``, the system's own gap in c when None; it
-    must equal ``_gap_and_argmax(system, c)[0]``.
+    must equal ``_gap_and_argmax(system, c)[0]``.  The statistics are the
+    keywords ``evaluations``, ``newton_steps`` and ``fell_back`` of
+    :class:`SpeedResult`.
     """
-    gap = gap or (lambda c: _gap_and_argmax(system, c)[0])
+    seen = []  # every argument of c(b) and of the gap
 
-    s_lo, s_hi = lo, hi
-    while True:
-        s_lo, s_hi = _bisect_gap(lambda c: _gap_and_argmax(system, c, coarse=True)[0], s_lo, s_hi,
-                                 SEED_SHARE * (s_hi - s_lo))
-        c = 0.5 * (s_lo + s_hi)
-        b = _gap_and_argmax(system, c, coarse=True)[1]
-        roots = [root for a, b, c in ((float(_lower_root(system, c, b)), b, c), *seeds)
-                 if (root := _newton_tangency(system, a, b, c)) is not None]
-        if roots or s_hi - s_lo <= SEED_SHARE * s_lo:
-            break
-    if roots:
-        _, b, c = min(roots, key=lambda root: root[2])
-        c_lo, c_hi = max(c - 0.5 * tol, lo), min(c + 0.5 * tol, hi)
-        while c_hi - c_lo > tol:
-            # c +/- tol/2 rounds outward by at most an ulp or two
-            c_hi = math.nextafter(c_hi, -math.inf)
-        if c_lo <= c <= c_hi and gap(c_lo) <= 0.0 < gap(c_hi):
-            return c, b, (c_lo, c_hi)
+    def counted(f: Callable[[float], float]) -> Callable[[float], float]:
+        return lambda x: seen.append(x) or f(x)
+
+    gap = counted(gap or (lambda c: _gap_and_argmax(system, c)[0]))
+    b, c, steps = _crossing_minimum(system, lo, counted(system.crossing))
+    # [lo, hi] holds the speed: a c(b*) that rounds past an end (c* within
+    # rounding of c_KPP, just above D = 2d or at a huge mu) is that end
+    c = min(max(c, lo), hi)
+    c_lo, c_hi = max(c - 0.5 * tol, lo), min(c + 0.5 * tol, hi)
+    while c_hi - c_lo > tol:
+        # c +/- tol/2 rounds outward by at most an ulp or two
+        c_hi = math.nextafter(c_hi, -math.inf)
+    if c_lo <= c <= c_hi and gap(c_lo) <= 0.0 < gap(c_hi):
+        return c, b, (c_lo, c_hi), dict(evaluations=len(seen), newton_steps=steps, fell_back=False)
     lo, hi = _bisect_gap(gap, lo, hi, tol)
     c = 0.5 * (lo + hi)
-    return c, float(_gap_and_argmax(system, c)[1]), (lo, hi)
+    return (c, float(_gap_and_argmax(system, c)[1]), (lo, hi),
+            dict(evaluations=len(seen), newton_steps=steps, fell_back=True))
 
 
-def _super_threshold(c: float, b: float, bracket: tuple[float, float], tol: float,
-                     params: ModelParams, branch: Branch) -> SpeedResult:
-    """A speed above c_KPP, its bracket and its tangency point (b, lower field root)."""
+def _super_threshold(c: float, b: float, bracket: tuple[float, float], stats: dict,
+                     tol: float, params: ModelParams, branch: Branch) -> SpeedResult:
+    """A speed above c_KPP: its bracket, tangency point (b, lower field root) and statistics."""
     tangency = CurvePoint(beta=b, alpha=alpha_field(c, b, params, "-"), branch=branch)
     return SpeedResult(c_star=c, regime=Regime.SUPER_THRESHOLD, bracket=bracket, tol=tol,
-                       tangency=tangency)
+                       tangency=tangency, **stats)
 
 
 # --- critical speed -------------------------------------------------------------
@@ -618,14 +649,17 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
 
     For D <= 2d (including the degenerate D=0 road) the road cannot outrun
     the field and c* = c_KPP exactly.  For D > 2d the result is the unique
-    root of :func:`curve_gap`: the Newton speed of the tangency system,
-    seeded inside [c_KPP, c_hi] (c_hi = c_KPP + 2^k max(1, 2^-20 c_KPP),
-    doubled until the coarse gap is positive), with a bracket of width <=
-    tol on which :func:`curve_gap` changes sign.  When that certificate
-    fails the root is bisected on the same [c_KPP, c_hi] and the speed is
-    the bracket midpoint.  The returned tangency point records b and the
-    lower field branch there.  When the doubling step cannot grow (c_KPP
-    overflows) it raises :class:`BracketError`.
+    root of :func:`curve_gap`: the minimum of the half-plane's crossing
+    curve c(b), with a bracket of width <= tol inside [c_KPP, c_hi] on
+    which :func:`curve_gap` changes sign, c_hi = c_KPP + 2^k max(1, 2^-20
+    c_KPP) doubled past c(0) = D sqrt(f'(0)/(D - d)), the speed of the
+    crossing at b = 0, which bounds c*.  When that certificate fails the
+    root is bisected on [c_KPP, c_hi] and the speed is the bracket
+    midpoint.  The returned tangency point records b and the lower field
+    branch there.  Just above D = 2d, where c* - c_KPP is about
+    c_KPP (D - 2d)^2/(8 d^2), c* can round onto c_KPP.  When the doubling
+    step cannot grow, or c_hi^2 overflows (c_KPP past 1.3e154), it raises
+    :class:`BracketError`.
     """
     _require_normalized(params)
     if not tol > 0:
@@ -636,8 +670,10 @@ def critical_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> SpeedResult
     system = _half_plane(params)
     # a first step of 1 rounds onto c_KPP past 2^53; below 2^20 the step is 1
     first = ck + max(1.0, 2.0**-20 * ck)
-    # a positive coarse max is a positive gap, so c_hi is an upper end for both
-    hi = _expand(lambda c: _gap_and_argmax(system, c, coarse=True)[0] > 0.0, ck, first, "c*")
+    # the crossing at b = 0 bounds c*, so the gap is positive past it, where
+    # c^2 is finite (past 1.3e154 every gap is nan)
+    c_up = system.crossing(0.0)
+    hi = _expand(lambda c: c > c_up and c * c < math.inf, ck, first, "c*")
     # the public curve_gap is the half-plane's gap: the certificate is its sign change
     speed = _tangent_speed(system, ck, hi, tol, gap=partial(curve_gap, params=params))
     return _super_threshold(*speed, tol, params, Branch.FIELD_MINUS)
@@ -766,9 +802,10 @@ def gamma_plus_threshold(params: ModelParams) -> GammaPlusClassification:
 def _strip(params: ModelParams, L: float) -> _Tangency:
     """The strip's system, with the wall's exchange term h(b) = mu d/(d + L g(b L)).
 
-    g(x) = tanh(x)/x is even, so the strip gap is even in b and its max can
-    sit at b = 0, where the tangency condition holds identically; Newton
-    may end there, or cross it.  The b interval is [0, beta_kpp(c)].  g is
+    g(x) = tanh(x)/x is even, so the strip gap and the crossing curve are
+    even in b: the gap's max and the curve's min can sit at b = 0, where
+    phi vanishes identically, and Newton ends there.  The b interval is
+    [0, beta_kpp(c)], and Newton keeps b inside it.  g is
     written with e = exp(-2|x|) as (1 - e)/((1 + e)|x|); at x = 0 that is
     0/0, and the indicator ``|x| <= 0`` (a bool, or a bool array) is the 0/1
     weight that swaps in g(0) = 1: |x| + 0 = |x| and g + 0 = g exactly, so
@@ -785,26 +822,26 @@ def _strip(params: ModelParams, L: float) -> _Tangency:
         return mud / (d + L * g)
 
     def slopes(b: float) -> tuple[float, float]:
+        # with x = b L >= 0 and e = exp(-2x): tanh x = (1 - e)/(1 + e), sech^2 x =
+        # 4e w, w = 1/(1 + e)^2, and tanh x - x sech^2 x = x^3 core w, so
+        # g' = -x core w and g'' = 2 core w - 8 g e w; core = (1 - e^2 - 4 x e)/x^3
+        # cancels below x = 1, where it is 2e (sinh 2x - 2x)/x^3, summed in x^2
         x = b * L
-        ax = abs(x)
-        if ax < 1e-2:
-            # g'(x) and g''(x) from tanh(x)/x = 1 - x^2/3 + 2x^4/15 - 17x^6/315 + O(x^8)
-            x2 = x * x
-            g1 = x * (-2.0 / 3.0 + 8.0 * x2 / 15.0 - 34.0 * x2 * x2 / 105.0)
-            g2 = -2.0 / 3.0 + 8.0 * x2 / 5.0 - 34.0 * x2 * x2 / 21.0
+        e = math.exp(-2.0 * x)
+        if x < 1.0:
+            core = 2.0 * e * reduce(lambda total, k: total * x * x + k, _SINH_SERIES, 0.0)
         else:
-            e = math.exp(-2.0 * ax)
-            t = -math.expm1(-2.0 * ax) / (1.0 + e)   # tanh(|x|)
-            sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
-            g1 = math.copysign(1.0, x) * (sech2 * ax - t) / (ax * ax)
-            g2 = -2.0 * t * sech2 / ax - 2.0 * (sech2 * ax - t) / (ax * ax * ax)
-        # h = mu d/p, p = d + L g: h' = -h r p' and h'' = h r (2 r p'^2 - p''), r = 1/p = h/(mu d)
-        hb = float(h(b))
-        r, p1, p2 = hb / mud, L * L * g1, L * L * L * g2
-        return -hb * r * p1, hb * r * (2.0 * r * p1 * p1 - p2)
+            core = (1.0 - e * e - 4.0 * x * e) / (x * x * x)
+        w = 1.0 / ((1.0 + e) * (1.0 + e))
+        g = -math.expm1(-2.0 * x) / ((1.0 + e) * x) if x else 1.0
+        g1, g2 = -x * core * w, 2.0 * core * w - 8.0 * g * e * w
+        # h = mu d r, r = 1/p, p = d + L g: h' = -mu d r^2 p', h'' = mu d r^2 (2 r p'^2 - p'')
+        r = 1.0 / (d + L * g)
+        p1, p2 = L * L * g1, L * L * L * g2
+        return -mud * r * r * p1, mud * r * r * (2.0 * r * p1 * p1 - p2)
 
     return replace(_half_plane(params), h=h, slopes=slopes,
-                   b_range=lambda c: (0.0, beta_kpp(c, params)), b_min=-math.inf, even=True)
+                   b_range=lambda c: (0.0, beta_kpp(c, params)))
 
 
 def strip_alpha_road(c: float, beta: float, L: float, params: ModelParams) -> float:
@@ -832,14 +869,14 @@ def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL
     at the same tol when the caller has solved it already; otherwise it is
     solved here.  When L is too small the gap is already nonnegative at
     c_KPP and no threshold above c_KPP exists - that raises
-    :class:`NoTangencyError`.  Solved like :func:`critical_speed`:
-    certified Newton on the strip's tangency system, seeded from the
-    coarse scan and from c*'s tangency point, else the bisection midpoint.
-    The tangency can sit at b = 0 (low strips), where the strip gap, even
-    in b, peaks.  The bracket stays inside (c_KPP, c_hi], but the threshold
-    lies in (c_KPP, c*) only up to tol: once c* - c_L (about e^{-2 beta L})
-    is below tol, the returned c_L can exceed the returned c* by less than
-    tol (D = 28, mu = 2, f'(0) = 5, L = 24).
+    :class:`NoTangencyError`.  Solved like :func:`critical_speed`: the
+    certified minimum of the strip's crossing curve, else the bisection
+    midpoint.  The tangency can sit at b = 0 (low strips), where the strip
+    gap, even in b, peaks and the crossing curve bottoms out.  The bracket
+    stays inside (c_KPP, c_hi], but the threshold lies in (c_KPP, c*) only
+    up to tol: once c* - c_L (about e^{-2 beta L}) is below tol, the
+    returned c_L can exceed the returned c* by less than tol (D = 28,
+    mu = 2, f'(0) = 5, L = 24).
     """
     _require_normalized(params)
     if not tol > 0:
@@ -864,8 +901,7 @@ def strip_critical_speed(params: ModelParams, L: float, tol: float = DEFAULT_TOL
         raise NoTangencyError(
             f"no sign change of the strip gap on (c_KPP, c*) at L={L}"
         )
-    seed = (full.tangency.alpha, full.tangency.beta, full.c_star)
-    return _super_threshold(*_tangent_speed(system, ck, c_hi, tol, (seed,)),
+    return _super_threshold(*_tangent_speed(system, ck, c_hi, tol),
                             tol, params, Branch.ROAD_STRIP_PLUS)
 
 
@@ -901,13 +937,14 @@ def limit_speed(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
     into the parabola a = (f'(0) + d b^2)/c and the road curve becomes its
     D=1 form; the returned speed is the unique tangency of that pair.  It
     is solved like :func:`critical_speed`, on the half-plane system with
-    road = 1 and field = 0: the Newton speed, seeded inside
+    road = 1 and field = 0: the minimum of its crossing curve
+    c(b) = q/sqrt(h + q) (c(0) = sqrt(f'(0)) bounds it), inside
     [sqrt(low)/2, 2 sqrt(f'(0))] (see :func:`limit_bounds`; c^2 lies in
     [low, f'(0)], so each end has a factor-2 margin) and certified by a
     sign change of the limiting gap across a bracket of width <= tol
-    around it; when that fails, the gap's sign change is bisected on the
-    same interval to width tol and the midpoint returned.  D itself does
-    not enter.
+    around it; when that fails, the gap's sign change is bisected on that
+    interval to width tol and the midpoint returned.  D itself does not
+    enter.
     """
     _require_normalized(params)
     if not tol > 0:

@@ -292,6 +292,15 @@ def test_limit_row(tmp_path):
     assert c_limit == pytest.approx(math.sqrt(c_sq), rel=1e-12)
 
 
+def test_limit_at_a_huge_exchange_rate_writes_no_warning(tmp_path):
+    # mu d b overflowed in the exchange term h(b) on the limit's b interval,
+    # whose top is about 1e75 here; the suite turns a RuntimeWarning into an error
+    assert main(["limit", "--set", "mu=1e300", "--out-dir", str(tmp_path)]) == 0
+    row = (tmp_path / "limit.csv").read_text().splitlines()[1].split(",")
+    c_sq, lo, hi = (float(v) for v in row[4:7])
+    assert lo <= c_sq <= hi
+
+
 # --- every dispersion search ends ----------------------------------------------------------
 
 # inputs on which a dispersion search used to run on without end, returned

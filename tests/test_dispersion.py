@@ -663,16 +663,16 @@ def test_every_speed_problems_gap_is_unimodal_in_b():
         except NoTangencyError:
             # a low strip: its gap is already >= 0 at c_KPP
             strip_speed = ck
-        for system, speed in ((dispersion._half_plane(p), full.c_star),
-                              (dispersion._limit(p), rf.limit_speed(p)),
-                              (dispersion._strip(p, L), strip_speed)):
+        for system, speed, even in ((dispersion._half_plane(p), full.c_star, False),
+                                    (dispersion._limit(p), rf.limit_speed(p), False),
+                                    (dispersion._strip(p, L), strip_speed, True)):
             speeds = [share * speed for share in (0.999, 1.0, 1.01, 1.5)]
             if system.field:
                 # the circle exists from c_KPP on
                 speeds = [max(c, ck) for c in speeds] + [ck * (1.0 + 1e-6)]
             for c in speeds:
                 lo, hi = system.b_range(c)
-                b = (hi * np.sqrt(np.linspace(0.0, 1.0, 4001)) if system.even
+                b = (hi * np.sqrt(np.linspace(0.0, 1.0, 4001)) if even
                      else np.linspace(lo, hi, 4001))
                 road = dispersion._root(c, dispersion._road_disc(system, c, b), 2.0 * system.road)
                 field = dispersion._lower_root(system, c, b)
@@ -741,7 +741,7 @@ def test_two_intersections_above_c_star_solve_the_system(d, mu, fp0, ratio, abov
         assert max(abs(r) for r in ansatz.residuals(p)) <= 1e-7
 
 
-# --- certified Newton and its fallback -------------------------------------------------
+# --- the certified crossing-curve minimum and its fallback -------------------------------
 
 # the bisection results of the solvers before Newton (tol 1e-8), which the
 # fallback must still return bit for bit
@@ -757,30 +757,30 @@ def _solve_all():
 
 
 @pytest.mark.parametrize("spoil", [
-    lambda a, b, c: None,                   # no convergence
-    lambda a, b, c: (a, b, math.nan),       # a non-finite speed
-    lambda a, b, c: (a, b, c * (1.0 + 1e-6)),
-    lambda a, b, c: (a, b, c - 2e-8),       # wrong by twice the tolerance
+    lambda b, c, steps: (math.nan, math.nan, steps),   # Newton did not converge
+    lambda b, c, steps: (b, math.nan, steps),          # a non-finite speed
+    lambda b, c, steps: (b, c * (1.0 + 1e-6), steps),
+    lambda b, c, steps: (b, c - 2e-8, steps),          # wrong by twice the tolerance
 ], ids=["none", "nan", "above", "below"])
 def test_failed_certificate_falls_back_to_the_bisection(monkeypatch, spoil):
-    newton = dispersion._newton_tangency
+    minimum = dispersion._crossing_minimum
 
     def wrong(*args):
-        root = newton(*args)
-        return None if root is None else spoil(*root)
+        return spoil(*minimum(*args))
 
-    monkeypatch.setattr(dispersion, "_newton_tangency", wrong)
+    monkeypatch.setattr(dispersion, "_crossing_minimum", wrong)
     assert _solve_all() == (BISECTED_C_STAR_D4, BISECTED_STRIP_D4_L20, BISECTED_LIMIT)
+    assert rf.critical_speed(make(4.0)).fell_back
+    assert rf.strip_critical_speed(make(4.0), 20.0).fell_back
 
 
 def test_newton_runs_no_fallback_on_random_parameters(monkeypatch):
-    # every bisection left is the seed's, which stops at SEED_SHARE of its bracket
+    # no solve below bisects: a fallback is the only caller of the bisection
     bisect = dispersion._bisect_gap
     fallbacks = []
 
     def spy(gap, lo, hi, tol):
-        if tol != dispersion.SEED_SHARE * (hi - lo):
-            fallbacks.append((lo, hi, tol))
+        fallbacks.append((lo, hi, tol))
         return bisect(gap, lo, hi, tol)
 
     monkeypatch.setattr(dispersion, "_bisect_gap", spy)
@@ -791,11 +791,13 @@ def test_newton_runs_no_fallback_on_random_parameters(monkeypatch):
         p = make(2.0 * d * math.exp(rng.uniform(1e-9, math.log(5e7))), d=d, mu=mu, fp0=fp0)
         full = rf.critical_speed(p)
         try:
-            rf.strip_critical_speed(p, rng.uniform(0.5, 30.0))
+            strip = rf.strip_critical_speed(p, rng.uniform(0.5, 30.0))
+            assert not strip.fell_back and strip.newton_steps > 0
         except NoTangencyError:
             pass
         rf.limit_speed(p)
         assert full.bracket[0] <= full.c_star <= full.bracket[1]
+        assert not full.fell_back and full.newton_steps > 0 and full.evaluations > 2
     assert fallbacks == []
 
 
@@ -815,6 +817,11 @@ def test_certified_bracket_holds_the_high_precision_speed(D, tol):
 # float; measured on 3300 seeded sets before it was fixed (largest 1.36 for
 # c*, 1.8 for the strip threshold, 1.16 for the limit), and never raised
 ORACLE_EPS_BOUND = 2.0
+# error of the reported tangency b against the oracle's argmin, in epsilons
+# relative to max(|b|, 1/d); on 3300 seeded sets the Newton minimiser reached
+# 1.8 (c*) and 5.3 (strip), where the tangency Newton before it, which
+# stopped on its step in c, left the strip's b up to 6.6e3 off
+ARGMIN_EPS_BOUND = 8.0
 
 
 def _oracle_sets():
@@ -833,15 +840,20 @@ def test_every_speed_is_the_50_digit_minimum_of_its_crossing_curve():
     misses = []
     for p, L in _oracle_sets():
         full = rf.critical_speed(p)
-        speeds = {"half-plane": full.c_star, "limit": rf.limit_speed(p)}
+        speeds = {"half-plane": (full.c_star, full.tangency.beta),
+                  "limit": (rf.limit_speed(p), None)}
         try:
-            speeds["strip"] = rf.strip_critical_speed(p, L, full=full).c_star
+            strip = rf.strip_critical_speed(p, L, full=full)
+            speeds["strip"] = (strip.c_star, strip.tangency.beta)
         except NoTangencyError:
             pass  # no strip threshold above c_KPP at this height
-        for problem, c in speeds.items():
-            ref, _ = mp_crossing_minimum(p, problem, L)
+        for problem, (c, b) in speeds.items():
+            ref, argmin = mp_crossing_minimum(p, problem, L)
             if not abs(c - ref) <= ORACLE_EPS_BOUND * eps * ref:
                 misses.append((p, L, problem, c, ref))
+            if b is not None and not abs(b - argmin) <= ARGMIN_EPS_BOUND * eps * max(abs(argmin),
+                                                                                    1.0 / p.d):
+                misses.append((p, L, problem, "b", b, argmin))
     assert misses == []
 
 
@@ -866,29 +878,27 @@ def test_low_strip_tangency_sits_at_zero_decay():
 
 @pytest.mark.parametrize("mu", [1e3, 1e4, 1e5, 1e6, 1e7])
 def test_limit_newton_certifies_at_large_exchange(monkeypatch, mu):
-    # the limit's first seed bracket spans [sqrt(low)/2, 2 sqrt(f'(0))], decades
-    # wide at large mu/f'(0); the seed must still come close enough to the
-    # speed for Newton, so the speed is a Newton root and no fallback
-    # bisection runs
-    bisect, newton = dispersion._bisect_gap, dispersion._newton_tangency
+    # the limit's bracket [sqrt(low)/2, 2 sqrt(f'(0))] spans decades at large
+    # mu/f'(0); the speed must still be the Newton minimum of the crossing
+    # curve, and no fallback bisection runs
+    bisect, minimum = dispersion._bisect_gap, dispersion._crossing_minimum
     fallbacks, roots = [], []
 
     def spy_bisect(gap, lo, hi, tol):
-        if tol != dispersion.SEED_SHARE * (hi - lo):
-            fallbacks.append((lo, hi, tol))
+        fallbacks.append((lo, hi, tol))
         return bisect(gap, lo, hi, tol)
 
-    def spy_newton(*args, **kwargs):
-        root = newton(*args, **kwargs)
-        if root is not None:
-            roots.append(root)
+    def spy_minimum(*args):
+        root = minimum(*args)
+        roots.append(root)
         return root
 
     monkeypatch.setattr(dispersion, "_bisect_gap", spy_bisect)
-    monkeypatch.setattr(dispersion, "_newton_tangency", spy_newton)
+    monkeypatch.setattr(dispersion, "_crossing_minimum", spy_minimum)
     p = make(1.0, mu=mu)
     c = rf.limit_speed(p)
-    assert roots and c == min(root[2] for root in roots) and fallbacks == []
+    assert len(roots) == 1 and math.isfinite(roots[0][0]) and c == roots[0][1]
+    assert fallbacks == []
     lo, hi = rf.limit_bounds(p)
     assert lo <= c * c <= hi
 
@@ -947,23 +957,34 @@ def test_public_road_branches_are_the_root_the_gap_uses(d, mu, fp0, ratio, u, L,
 
 
 def test_fallback_runs_on_a_real_input(monkeypatch):
-    # just above D = 2d the tangency sits at c_KPP + 4e-9, where Newton does
-    # not certify; the bisection must, on the bracket Newton was seeded in
-    p = rf.ModelParams(D=2.000000002, d=1.0, mu=1.0, nu=1.0, f_prime_0=0.5)
+    # at d = 1e40 the limit's crossing curve bends on the scale 1/d = 1e-40
+    # while its minimiser sits near 1e-30, so Newton creeps up to it and
+    # stops at NEWTON_STEPS; the bisection must certify the speed on the
+    # limit's own bracket [sqrt(low)/2, 2 sqrt(f'(0))]
+    p = rf.ModelParams(D=4e40, d=1e40, mu=1.0, nu=1.0, f_prime_0=1e8)
     bisect = dispersion._bisect_gap
     fallbacks = []
 
     def spy(gap, lo, hi, tol):
-        if tol != dispersion.SEED_SHARE * (hi - lo):
-            fallbacks.append((lo, hi, tol))
-        return bisect(gap, lo, hi, tol)
+        lo_hi = bisect(gap, lo, hi, tol)
+        fallbacks.append(((lo, hi, tol), lo_hi))
+        return lo_hi
 
     monkeypatch.setattr(dispersion, "_bisect_gap", spy)
-    res = rf.critical_speed(p)
-    assert len(fallbacks) == 1 and fallbacks[0][0] == rf.c_kpp(p)
+    c = rf.limit_speed(p)
+    assert len(fallbacks) == 1
+    (start, _, tol), (lo, hi) = fallbacks[0]
+    assert start == 0.5 * math.sqrt(rf.limit_bounds(p)[0])
+    assert hi - lo <= tol and c == 0.5 * (lo + hi)
+    gap = dispersion._gap_and_argmax
+    assert gap(dispersion._limit(p), lo)[0] <= 0.0 < gap(dispersion._limit(p), hi)[0]
+    # just above D = 2d the old tangency Newton did not certify; c* now
+    # certifies there and is c_KPP itself, the float nearest c*
+    near = rf.ModelParams(D=2.000000002, d=1.0, mu=1.0, nu=1.0, f_prime_0=0.5)
+    res = rf.critical_speed(near)
+    assert not res.fell_back and res.c_star == rf.c_kpp(near)
     lo, hi = res.bracket
-    assert hi - lo <= res.tol and res.c_star == 0.5 * (lo + hi)
-    assert rf.curve_gap(lo, p) <= 0.0 < rf.curve_gap(hi, p)
+    assert rf.curve_gap(lo, near) <= 0.0 < rf.curve_gap(hi, near)
 
 
 # --- every search ends -----------------------------------------------------------
