@@ -190,20 +190,20 @@ PINNED_CSV = {
         "2,1,1,1,2,2,SubThreshold,1.4142135623730949\n"
         "4,1,1,1,2,2.269289220080505,SuperThreshold,1.1346446100402525\n"
         "16,1,1,1,2,3.9492677880527989,SuperThreshold,0.98731694701319972\n"
-        "64,1,1,1,2,7.6454471721105932,SuperThreshold,0.95568089651382415\n"
+        "64,1,1,1,2,7.6454471721105923,SuperThreshold,0.95568089651382404\n"
         "256,1,1,1,2,15.168583113719118,SuperThreshold,0.94803644460744485\n"
-        "1024,1,1,1,2,30.276515645324892,SuperThreshold,0.94614111391640288\n"
+        "1024,1,1,1,2,30.276515645324888,SuperThreshold,0.94614111391640277\n"
         "100000,1,1,1,2,298.9987841177412,SuperThreshold,0.94551717543304092\n",
     ),
     ("strip", "--set", "D=4", "--L", "20"): (
         "strip.csv",
         "D,d,mu,fp0,L,c_kpp,c_star_L,c_star\n"
-        "4,1,1,1,20,2,2.2689838660931447,2.269289220080505\n",
+        "4,1,1,1,20,2,2.2689838660931452,2.269289220080505\n",
     ),
     ("limit",): (
         "limit.csv",
         "d,mu,fp0,c_limit,c_limit_sq,low_bound,high_bound\n"
-        "1,1,1,0.94551072374122702,0.89399052870965889,0.23606797749978969,1\n",
+        "1,1,1,0.9455107237412268,0.89399052870965845,0.23606797749978969,1\n",
     ),
 }
 

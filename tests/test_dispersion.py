@@ -1071,11 +1071,11 @@ def test_every_search_ends_in_a_certified_speed_or_a_named_error():
 
 # sha256 of (c*, its bracket, limit_speed) as float.hex over 40 seeded sets,
 # D/d log-uniform in [0.3, 1e5]: published numbers must not drift silently
-PUBLISHED_SHA256 = "6d6062d40313798d25e7baeb1b0578446bc8404cac2163f81c7cdb46fd2fc92c"
+PUBLISHED_SHA256 = "2adf379af0116b099c69c30d2e6bdd5ce695fcfbd9aae476481a5b239c5ce303"
 # sha256 of the strip threshold (c_L, its bracket, its tangency b), see below
-STRIP_SHA256 = "a4af00f53b579c14d2c48ed0721808b55d480fade993dc62eb7b318ceeedbf84"
+STRIP_SHA256 = "4649da9689e19994b393f3640ba827aed5e6d15ba421bfa660b8f94b23a66b57"
 # sha256 of the crossings (b, a) at 1.001 c*, see below
-INTERSECTIONS_SHA256 = "a0c4e90c66429e90c5de5d8ff35a1ba0e0b454d4af4b83439d772ccfd3964463"
+INTERSECTIONS_SHA256 = "5d0f015b9c9a18a11e8e81388617a73a14d5fc451796921d8d6a0eb1d8a40da0"
 
 
 def test_published_speeds_keep_their_bits():
