@@ -957,10 +957,11 @@ def test_public_road_branches_are_the_root_the_gap_uses(d, mu, fp0, ratio, u, L,
 
 
 def test_fallback_runs_on_a_real_input(monkeypatch):
-    # at d = 1e40 the limit's crossing curve bends on the scale 1/d = 1e-40
-    # while its minimiser sits near 1e-30, so Newton creeps up to it and
-    # stops at NEWTON_STEPS; the bisection must certify the speed on the
-    # limit's own bracket [sqrt(low)/2, 2 sqrt(f'(0))]
+    # at d = 1e40 the limit's exchange term bends on the scale 1/d = 1e-40,
+    # far below its minimiser 2.5e-24: Newton's first step from the golden
+    # section's b lands near 3e-33, and each later step only multiplies b by
+    # about 1.5, so it stops at NEWTON_STEPS; the bisection must certify the
+    # speed on the limit's own bracket [sqrt(low)/2, 2 sqrt(f'(0))]
     p = rf.ModelParams(D=4e40, d=1e40, mu=1.0, nu=1.0, f_prime_0=1e8)
     bisect = dispersion._bisect_gap
     fallbacks = []
