@@ -303,9 +303,14 @@ def _root(c: float, disc, scale: float, s: float = 1.0):
 
     The clamp is the product with the 0/1 indicator ``disc > 0``: on a float
     it costs a multiplication, where ``np.maximum`` costs a ufunc call.  A
-    negative disc becomes -0.0, whose square root -0.0 adds like 0.
+    negative disc becomes -0.0, whose square root -0.0 adds like 0.  A float
+    disc (an np.float64 is one) takes ``math.sqrt``, so the root and what the
+    caller does with it stay Python floats, several times faster than numpy
+    scalars; both square roots are correctly rounded, so the bits agree.
     """
-    return (c + s * np.sqrt(disc * (disc > 0.0))) / scale
+    clamped = disc * (disc > 0.0)
+    sqrt = math.sqrt if isinstance(clamped, float) else np.sqrt
+    return (c + s * sqrt(clamped)) / scale
 
 
 def _clamp_roundoff(disc: float, scale: float) -> float:

@@ -96,6 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -146,11 +147,12 @@ class Grid:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
-    @property
+    # cached: step() reads both on every call
+    @cached_property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.nx - 1)
 
-    @property
+    @cached_property
     def dy(self) -> float:
         return self.y_max / (self.ny - 1)
 
@@ -437,11 +439,13 @@ class _Buffers:
     substeps ping-pong between road and road_next.  lap and nu_v0 are the
     road's temporaries, t1 and t2 the field's, one value per node of the
     flat range, and t1_inner is t1 at the interior nodes.  Every array is
-    allocated and every view bound once, here.
+    allocated and every view bound once, here.  The kernel's scalars are
+    bound by :meth:`bind`.
     """
 
     __slots__ = ("road", "road_next", "field", "field_next", "lap", "nu_v0", "t1", "t2",
-                 "t1_inner")
+                 "t1_inner", "params", "reaction", "spacing", "nu", "mu", "dt", "road_scale",
+                 "substeps", "ghost_scale", "x_scale", "y_scale", "growth", "field_dt")
 
     def __init__(self, u: np.ndarray, v: np.ndarray):
         """Buffers shaped for the state (u, v), which is copied in."""
@@ -451,12 +455,53 @@ class _Buffers:
         self.lap, self.nu_v0 = np.empty((*batch, nx)), np.empty((*batch, nx))
         self.t1, self.t2 = np.empty((*batch, nx * (ny + 2))), np.empty((*batch, nx * (ny + 2)))
         self.t1_inner = self.t1.reshape(*batch, nx, ny + 2)[..., 1:-1]
+        self.params = self.reaction = self.spacing = None
         self.load(u, v)
 
     def load(self, u: np.ndarray, v: np.ndarray) -> None:
         """Copy the state (u, v) into the current interiors."""
         self.road.inner[...] = u
         self.field.inner[...] = v
+
+    def bind(self, params: ModelParams, dt: float, dx: float, dy: float,
+             reaction: Callable | None, substeps: int) -> None:
+        """Bind the scalars of :func:`_advance` for these arguments as 0-d float64 arrays.
+
+        numpy takes a ufunc operand that is a Python or numpy float through
+        a slower path than a 0-d array, about 0.2 us more per call, and a
+        step makes 11 such calls.  Each value is the double the kernel
+        computed inline before, so no bit moves: nu and mu; the road's dt
+        and its diffusion scale dt*D/dx^2; the exchange ghost's substeps
+        and 2dy/d; the field step k*dt and its two diffusion scales
+        k*dt*d/dx^2 and k*dt*d/dy^2; growth, the logistic's f'(0), or None
+        for any other reaction.  Nothing is rebound unless params or
+        reaction (by identity) or dt, dx, dy or substeps differ from the
+        last call.
+        """
+        spacing = (dt, dx, dy, substeps)
+        if params is self.params and reaction is self.reaction and spacing == self.spacing:
+            return
+        dx2, dy2 = dx**2, dy**2
+        D, d = params.D, params.d
+        field_dt = substeps * dt
+        f = getattr(reaction, "func", reaction)
+        self.nu, self.mu, self.dt, self.road_scale, self.substeps, self.ghost_scale = map(
+            _scalar, (params.nu, params.mu, dt, dt * D / dx2, substeps, 2.0 * dy / d))
+        self.field_dt, self.x_scale, self.y_scale = map(
+            _scalar, (field_dt, field_dt * d / dx2, field_dt * d / dy2))
+        self.growth = _scalar(f.f_prime_0) if isinstance(f, _Logistic) else None
+        self.params, self.reaction, self.spacing = params, reaction, spacing
+
+
+def _scalar(x: float) -> np.ndarray:
+    """x as a read-only 0-d float64 array, the fast ufunc operand."""
+    a = np.array(x, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+# the 1 of the logistic's 1 - s
+_ONE = _scalar(1.0)
 
 
 # step()'s spare buffer set, at most one, keyed by the field's shape; a call
@@ -486,15 +531,15 @@ def _advance(
     explicitly, not from a Grid, so a folded run steps its half domain with
     the full grid's dt, dx and dy bit for bit.  A :class:`params._Logistic`
     reaction is evaluated fused into the buffers; any other is called on the
-    field's interior.
+    field's interior.  Every scalar operand is bound by :meth:`_Buffers.bind`.
     """
-    dx2, dy2 = dx**2, dy**2
-    D, d, mu, nu = params.D, params.d, params.mu, params.nu
+    buf.bind(params, dt, dx, dy, reaction, substeps)
+    mu, field_dt = buf.mu, buf.field_dt
     field = buf.field
     # the exchange ghost column first sums the road states the substeps start from
     ghost = field.ghost
-    nu_v0 = np.multiply(field.y0, nu, buf.nu_v0)
-    lap = buf.lap
+    nu_v0 = np.multiply(field.y0, buf.nu, buf.nu_v0)
+    lap, road_scale, road_dt = buf.lap, buf.road_scale, buf.dt
 
     # road: 3-point Laplacian in x, mirror ghosts at both ends, ping-ponging
     # between road and road_next
@@ -510,23 +555,22 @@ def _advance(
         np.add(src.right, src.left, lap)
         lap -= inner
         lap -= inner
-        lap *= dt * D / dx2
+        lap *= road_scale
         np.add(inner, lap, new)
         np.multiply(inner, mu, lap)
         np.subtract(nu_v0, lap, lap)
-        lap *= dt
+        lap *= road_dt
         new += lap
         src, dst = dst, src
     buf.road, buf.road_next = src, dst
-    field_dt = substeps * dt
 
     # field ghosts: mirrors laterally and on top, the exchange flux
     # (2dy/d)(mu u_bar - nu v0) below
     if substeps > 1:
-        ghost /= substeps   # the mean; u/1 is u exactly
+        ghost /= buf.substeps   # the mean; u/1 is u exactly
     ghost *= mu
     ghost -= nu_v0
-    ghost *= 2.0 * dy / d
+    ghost *= buf.ghost_scale
     ghost += field.y1
     field.top[...] = field.top_src
     # whole rows, corners included, so every node the flat range reads is written first
@@ -542,17 +586,16 @@ def _advance(
     np.add(field.right, field.left, t1)
     t1 -= c
     t1 -= c
-    t1 *= field_dt * d / dx2
+    t1 *= buf.x_scale
     np.add(field.up, field.down, t2)
     t2 -= c
     t2 -= c
-    t2 *= field_dt * d / dy2
+    t2 *= buf.y_scale
     t1 += t2
-    f = getattr(reaction, "func", reaction)
-    if isinstance(f, _Logistic):
+    if buf.growth is not None:
         # (f'(0) s)(1 - s), with out as scratch
-        np.multiply(c, f.f_prime_0, t2)
-        np.subtract(1.0, c, out)
+        np.multiply(c, buf.growth, t2)
+        np.subtract(_ONE, c, out)
         t2 *= out
         t2 *= field_dt
         t1 += t2

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import roadfield as rf
@@ -701,6 +701,8 @@ def test_curve_gap_increases_in_c(d, mu, fp0, ratio, u, step):
 
 @settings(max_examples=25, deadline=None)
 @given(d=_coeff, mu=_coeff, fp0=_coeff, ratios=st.lists(st.floats(0.0, 40.0), min_size=2, max_size=2))
+# c* rounds onto c_KPP just above D = 2d
+@example(d=1.0, mu=1.0, fp0=0.5, ratios=[2.000000002, 4.0])
 def test_critical_speed_does_not_decrease_in_D(d, mu, fp0, ratios):
     params = [make(r * d, d=d, mu=mu, fp0=fp0) for r in sorted(ratios)]
     low, high = (rf.critical_speed(p) for p in params)
@@ -708,7 +710,12 @@ def test_critical_speed_does_not_decrease_in_D(d, mu, fp0, ratios):
         if p.D <= 2.0 * p.d:
             assert res.c_star == rf.c_kpp(p)
         else:
-            assert res.c_star > rf.c_kpp(p)
+            # c* - c_KPP grows like (D/d - 2)^2 and is below c_KPP's float
+            # spacing once D/d - 2 is near 1e-8; from 1e-5 on it is at least
+            # about 350 spacings over these coefficient ranges
+            assert res.c_star >= rf.c_kpp(p)
+            if p.D / p.d - 2.0 >= 1e-5:
+                assert res.c_star > rf.c_kpp(p)
     # c*(D) is nondecreasing, so the certified brackets cannot say otherwise
     assert low.bracket[0] <= high.bracket[1]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -721,6 +722,57 @@ def test_padded_kernel_equals_the_reference_kernel(nx, ny, substeps, batch, reac
         simulate._advance(buf, P10, 0.002, 0.5, 0.25, f, substeps)
         u, v = oracles.reference_advance(u, v, P10, 0.002, 0.5, 0.25, f, substeps)
         assert np.array_equal(buf.road.inner, u) and np.array_equal(buf.field.inner, v)
+
+
+def test_a_spare_set_rebinds_its_scalars_when_params_or_reaction_change():
+    # one spare set per shape steps while the reaction changes alone, then
+    # while the params change alone: each call must rebind what changed
+    grid = rf.Grid(x_min=-1.0, x_max=1.0, y_max=1.0, nx=6, ny=4, dt=0.002)
+    other = rf.ModelParams(D=0.7, d=1.3, mu=0.8, nu=1.6, f_prime_0=0.6)
+    custom = rf.ReactionFunction(lambda s: 0.3 * s * (1.0 - s * s), f_prime_0=0.3)
+    # P10's logistic as a plain callable: the generic reaction call
+    equal_logistic = rf.ReactionFunction(lambda s: 0.95 * s * (1.0 - s), f_prime_0=0.95)
+    reactions = ["logistic", None, custom, equal_logistic]
+    rng = np.random.default_rng(41)
+    order = [*itertools.product([P10, other, P10], reactions),
+             *((p, r) for r, p in itertools.product(reactions, [P10, other]))]
+    states = {batch: _random_batch(rng, batch, grid.nx, grid.ny) for batch in [(), (3,)]}
+    # one state, a batch (a set of its own shape), then the one state again
+    for batch in [(), (3,), ()]:
+        u, v = states[batch]
+        spare = None
+        for params, reaction in order:
+            f = params.reaction if reaction == "logistic" else reaction
+            kw = {} if reaction == "logistic" else {"reaction": reaction}
+            out = rf.step(rf.FieldState(t=0.0, u=u, v=v), params, grid, **kw)
+            u, v = oracles.reference_advance(u, v, params, grid.dt, grid.dx, grid.dy, f)
+            assert np.array_equal(out.u, u) and np.array_equal(out.v, v)
+            spare = spare or simulate._SPARE[v.shape]
+            assert simulate._SPARE[v.shape] is spare
+        states[batch] = u, v
+
+
+def test_a_multirate_run_with_a_ragged_schedule_equals_the_reference_chain():
+    # 5 road substeps per field step and a snapshot every 7 grid steps: the
+    # field step alternates between 5 dt and 2 dt, so its scalars are rebound
+    # twice per snapshot
+    grid = fast_road_grid(dx=0.5)
+    substeps = simulate.road_substeps(grid, P10)
+    assert substeps == 5
+    datum = rf.InitialDatum.compact_bump(center=1.5, amplitude_u=0.5)
+    rec = rf.run(P10, grid, datum, t_end=40 * grid.dt, snapshot_every=7)
+    state = rf.init_state(grid, datum)
+    u, v = state.u, state.v
+    k = 0
+    for j, target in enumerate([0, 7, 14, 21, 28, 35, 40]):
+        while k < target:
+            m = min(substeps, target - k)
+            u, v = oracles.reference_advance(u, v, P10, grid.dt, grid.dx, grid.dy,
+                                             P10.reaction, m)
+            k += m
+        assert np.array_equal(rec.road[j], u) and np.array_equal(rec.field_trace[j], v[:, 0])
+        assert rec.mass[j] == rf.total_mass(rf.FieldState(t=k * grid.dt, u=u, v=v), grid)
+    assert np.array_equal(rec.final_state.v, v)
 
 
 @pytest.mark.parametrize("nx, ny", [(3, 3), (4, 3), (3, 6)])
