@@ -47,7 +47,17 @@ once, when the set is built, so a step slices nothing.  :func:`run` builds
 one set per run.  :func:`step` keeps one spare set, keyed by the field's
 shape: a call pops it (or builds a set when it is absent or of another
 shape), copies the state in and puts the set back after, so a reaction
-that calls :func:`step` or a second thread gets a set of its own.
+that calls :func:`step` or a second thread gets a set of its own.  A set
+also binds the kernel's scalar coefficients (dt*D/dx^2, mu, nu, dt,
+2dy/d, the field's two diffusion scales, the field step, f'(0)) as 0-d
+float64 arrays, rebinding them only when params, reaction, dt, dx, dy or
+the substep count change (:meth:`_Buffers.bind`): numpy passes a Python
+or numpy float operand through a slower path, about 0.2 us more per ufunc
+call, and a step makes 11 such calls.  On the 25x9 grid of the ordering
+checks one :func:`step` took 18.1-20.0 us against 21.0-22.1 us with the
+scalars passed inline (best of 15 blocks of 2000 calls, alternating
+processes, shared 2-core x86-64 host, numpy 2.4.6); on the front_speed
+grids a field step moved within the host's spread.
 The field update runs over the flat contiguous range [W, W*(nx+1)) of
 the field buffer, W = ny+2, which is the padded rows 1..nx end to end:
 the x neighbours of a node sit at offsets +-W and its y neighbours at
