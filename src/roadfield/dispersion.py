@@ -49,14 +49,15 @@ derived from the system once it is built:
   stationarity condition phi(b) = 2 N' S - N S' = 0 (N = road q + field h,
   S = h + q; h' and h'' from ``slopes``) refines it to float resolution
   in b, and c is evaluated once there.  At D = 4, d = mu = f'(0) = 1
-  that is 37 values of c(b), 2 of the gap, 2 Newton steps and about
-  180 us per c*, against about 450 us for the solve it replaced (README,
-  "Speed solvers").  The speed is certified: the gap must be <= 0 at the
-  lower end and > 0 at the upper end of a bracket of width <= tol around
-  it, which is the bracket reported.  When Newton does not converge or the certificate
-  fails (e.g. a tol below the float spacing) the gap's sign change is
-  bisected to width tol on the search bracket, and the midpoint is
-  reported.  ``SpeedResult`` carries the count of c(b) and gap values,
+  that is 37 values of c(b), 2 of the gap and 2 Newton steps: c(b) is
+  one closed form per b, so the search runs in b alone, with no 3-D
+  Newton on the tangency system and no restarts from seeds, and costs
+  less than that solve did (BENCH_26.json).  The speed is certified: the
+  gap must be <= 0 at the lower end and > 0 at the upper end of a
+  bracket of width <= tol around it, which is the bracket reported.
+  When Newton does not converge or the certificate fails (e.g. a tol
+  below the float spacing) the gap's sign change is bisected to width
+  tol on the search bracket, and the midpoint is reported.  ``SpeedResult`` carries the count of c(b) and gap values,
   the Newton steps and whether the fallback ran.
 
 One bisection, ``_bisect_gap``, brackets every root here, including the

@@ -38,10 +38,12 @@ single step, and k = 1 (whenever the road term does not bind) is the plain
 single-rate update bit for bit.  Record times, snapshots and blow-up steps
 still count grid steps of dt: a field step never spans a snapshot.
 
-Padded buffers.  A state lives in padded buffers with one ghost node on
-every side: the road in (..., nx+2) and the field in (..., nx+2, ny+2).
-A buffer set holds two of each and every temporary, and ping-pongs
-between them.  Every view the kernel reads or writes (interiors, ghosts
+Padded buffers.  A state lives in one padded buffer per channel, with one
+ghost node on every side: the road in (..., nx+2) and the field in
+(..., nx+2, ny+2).  A step updates both in place: each increment is
+formed whole in a temporary from the old state and only then added into
+the buffer, so no node is read after it is written in the same step.
+Every view the kernel reads or writes (interiors, ghosts
 and their mirror sources, the flat range and its neighbours) is bound
 once, when the set is built, so a step slices nothing.  :func:`run` builds
 one set per run.  :func:`step` keeps one spare set, keyed by the field's
@@ -52,12 +54,10 @@ also binds the kernel's scalar coefficients (dt*D/dx^2, mu, nu, dt,
 2dy/d, the field's two diffusion scales, the field step, f'(0)) as 0-d
 float64 arrays, rebinding them only when params, reaction, dt, dx, dy or
 the substep count change (:meth:`_Buffers.bind`): numpy passes a Python
-or numpy float operand through a slower path, about 0.2 us more per ufunc
-call, and a step makes 11 such calls.  On the 25x9 grid of the ordering
-checks one :func:`step` took 18.1-20.0 us against 21.0-22.1 us with the
-scalars passed inline (best of 15 blocks of 2000 calls, alternating
-processes, shared 2-core x86-64 host, numpy 2.4.6); on the front_speed
-grids a field step moved within the host's spread.
+or numpy float operand through a slower path than a 0-d array, a step
+makes 11 such calls, and on small grids such as the 25x9 grid of the
+ordering checks that per-call cost, not the arithmetic, dominates a step
+(BENCH_27.json).
 The field update runs over the flat contiguous range [W, W*(nx+1)) of
 the field buffer, W = ny+2, which is the padded rows 1..nx end to end:
 the x neighbours of a node sit at offsets +-W and its y neighbours at
@@ -68,9 +68,9 @@ row).  The junk is finite, since every node it reads was written from
 the state, and harmless: the next ghost fill overwrites those columns
 before any interior node reads them, the blow-up check reads the range
 only to rule a blow-up out and otherwise rereads the interior, and
-snapshots read the interior alone.  The new field is added into the
-next buffer in place (c + t1 commutes, so the bits stay those of
-v + t1).  The logistic (``params._Logistic``, recognised by its type) is
+snapshots read the interior alone.  The field's increment t1 is added
+into the range, as v + t1, once every term of it is formed.  The
+logistic (``params._Logistic``, recognised by its type) is
 evaluated over the range fused into the buffers as (f'(0)*s)*(1-s), the
 operations of the callable in its order; any other reaction is called
 on the interior only, so it never sees a ghost node (the exchange ghost
@@ -443,27 +443,28 @@ class _Field:
 class _Buffers:
     """The padded state of one grid, or a batch of them, and the kernel's temporaries.
 
-    road, a :class:`_Road`, and field, a :class:`_Field`, hold the current
-    state with one ghost node on every side.  :func:`_advance` writes the
-    next state into road_next and field_next and swaps the pairs; the road
-    substeps ping-pong between road and road_next.  lap and nu_v0 are the
-    road's temporaries, t1 and t2 the field's, one value per node of the
-    flat range, and t1_inner is t1 at the interior nodes.  Every array is
-    allocated and every view bound once, here.  The kernel's scalars are
-    bound by :meth:`bind`.
+    road, a :class:`_Road`, and field, a :class:`_Field`, are the one
+    buffer per channel that holds the state, with one ghost node on every
+    side; :func:`_advance` updates them in place.  lap and exchange hold
+    the road's diffusion and exchange terms and nu_v0 is nu times the
+    trace v(x, 0), one value per road node; t1 holds the field's
+    increment, t2 one term of it at a time and t3 the logistic's 1 - s,
+    one value per node of the flat range, and t1_inner is t1 at the
+    interior nodes.  Every array is allocated and every view bound once,
+    here.  The kernel's scalars are bound by :meth:`bind`.
     """
 
-    __slots__ = ("road", "road_next", "field", "field_next", "lap", "nu_v0", "t1", "t2",
-                 "t1_inner", "params", "reaction", "spacing", "nu", "mu", "dt", "road_scale",
+    __slots__ = ("road", "field", "lap", "exchange", "nu_v0", "t1", "t2", "t3", "t1_inner",
+                 "params", "reaction", "spacing", "nu", "mu", "dt", "road_scale",
                  "substeps", "ghost_scale", "x_scale", "y_scale", "growth", "field_dt")
 
     def __init__(self, u: np.ndarray, v: np.ndarray):
         """Buffers shaped for the state (u, v), which is copied in."""
         batch, (nx, ny) = u.shape[:-1], v.shape[-2:]
-        self.road, self.road_next = (_Road(np.empty((*batch, nx + 2))) for _ in range(2))
-        self.field, self.field_next = (_Field(np.empty((*batch, nx + 2, ny + 2))) for _ in range(2))
-        self.lap, self.nu_v0 = np.empty((*batch, nx)), np.empty((*batch, nx))
-        self.t1, self.t2 = np.empty((*batch, nx * (ny + 2))), np.empty((*batch, nx * (ny + 2)))
+        self.road = _Road(np.empty((*batch, nx + 2)))
+        self.field = _Field(np.empty((*batch, nx + 2, ny + 2)))
+        self.lap, self.exchange, self.nu_v0 = (np.empty((*batch, nx)) for _ in range(3))
+        self.t1, self.t2, self.t3 = (np.empty((*batch, nx * (ny + 2))) for _ in range(3))
         self.t1_inner = self.t1.reshape(*batch, nx, ny + 2)[..., 1:-1]
         self.params = self.reaction = self.spacing = None
         self.load(u, v)
@@ -542,6 +543,13 @@ def _advance(
     the full grid's dt, dx and dy bit for bit.  A :class:`params._Logistic`
     reaction is evaluated fused into the buffers; any other is called on the
     field's interior.  Every scalar operand is bound by :meth:`_Buffers.bind`.
+
+    The state is updated in place.  Each increment is formed whole from the
+    old state before it is added: on the road the diffusion term in lap and
+    the exchange term in exchange, then (u + diffusion) + exchange; on the
+    field t1, then v + t1.  Every node is written before it is read (ghosts
+    first), so what the buffers held before the state was loaded never
+    reaches the result.
     """
     buf.bind(params, dt, dx, dy, reaction, substeps)
     mu, field_dt = buf.mu, buf.field_dt
@@ -551,28 +559,26 @@ def _advance(
     nu_v0 = np.multiply(field.y0, buf.nu, buf.nu_v0)
     lap, road_scale, road_dt = buf.lap, buf.road_scale, buf.dt
 
-    # road: 3-point Laplacian in x, mirror ghosts at both ends, ping-ponging
-    # between road and road_next
-    src, dst = buf.road, buf.road_next
+    # road: 3-point Laplacian in x, mirror ghosts at both ends, updated in place
+    road, exchange = buf.road, buf.exchange
+    inner = road.inner
     for s in range(substeps):
-        inner, new = src.inner, dst.inner
         if s:
             ghost += inner
         else:
             ghost[...] = inner
-        src.lo[...] = src.lo_src
-        src.hi[...] = src.hi_src
-        np.add(src.right, src.left, lap)
+        road.lo[...] = road.lo_src
+        road.hi[...] = road.hi_src
+        np.add(road.right, road.left, lap)
         lap -= inner
         lap -= inner
         lap *= road_scale
-        np.add(inner, lap, new)
-        np.multiply(inner, mu, lap)
-        np.subtract(nu_v0, lap, lap)
-        lap *= road_dt
-        new += lap
-        src, dst = dst, src
-    buf.road, buf.road_next = src, dst
+        np.multiply(inner, mu, exchange)
+        np.subtract(nu_v0, exchange, exchange)
+        exchange *= road_dt
+        # both terms read the old u, so u changes only once both are formed
+        inner += lap
+        inner += exchange
 
     # field ghosts: mirrors laterally and on top, the exchange flux
     # (2dy/d)(mu u_bar - nu v0) below
@@ -591,8 +597,7 @@ def _advance(
     # 1..nx, neighbours at offsets +-W in x and +-1 in y; the ghost columns
     # inside the range get finite junk that the next ghost fill overwrites
     # before anything reads it
-    c, out = field.centre, buf.field_next.centre
-    t1, t2 = buf.t1, buf.t2
+    c, t1, t2 = field.centre, buf.t1, buf.t2
     np.add(field.right, field.left, t1)
     t1 -= c
     t1 -= c
@@ -603,16 +608,16 @@ def _advance(
     t2 *= buf.y_scale
     t1 += t2
     if buf.growth is not None:
-        # (f'(0) s)(1 - s), with out as scratch
+        # (f'(0) s)(1 - s), with 1 - s in t3
         np.multiply(c, buf.growth, t2)
-        np.subtract(_ONE, c, out)
-        t2 *= out
+        np.subtract(_ONE, c, buf.t3)
+        t2 *= buf.t3
         t2 *= field_dt
         t1 += t2
     elif reaction is not None:
         buf.t1_inner += field_dt * np.asarray(reaction(field.inner))
-    np.add(c, t1, out)
-    buf.field, buf.field_next = buf.field_next, field
+    # every term of t1 read the old field, so the field changes only now
+    c += t1
 
 
 def _check_cap(buf: _Buffers, cap, params: ModelParams, t: float,

@@ -98,16 +98,22 @@ def mp_crossing_minimum(params: ModelParams, problem: str, L: float | None = Non
     "half-plane" (road = D, field = d, h = mu d b/(1 + d b)), "strip"
     (h = mu d/(d + L tanh(bL)/(bL)), h(0) = mu d/(d + L)) or "limit"
     (road = 1, field = 0, the half-plane's h).  A float scan of c(b) on
-    n_scan even nodes of [0, B] finds the minimum's cell, B where the field
-    locus at the speed c(0) >= min ends, and dc/db (mpmath.diff) is solved
-    on the cell's two neighbours by findroot's Illinois method, which keeps
-    a sign change of dc/db bracketed (its residual check is off: dc/db
-    comes from numerical differentiation, whose noise can exceed the
-    check's absolute tolerance while the root is exact).  When the
-    scan's minimum is one of the first two nodes (a low strip, or a minimum
-    closer to 0 than the node spacing), the minimum sits at 0 unless dc/db
-    is already negative just above 0; then its root between there and the
-    third node is the argmin.
+    b = 0 and n_scan - 1 log-spaced nodes of [1e-100 B, B] finds the
+    minimum's cell, B where the field locus at the speed c(0) >= min ends:
+    B grows like mu^(1/4) in the limit, and at mu = 1e300 the minimiser
+    sits 75 decades below it.  Values within 16 eps of the least tie, and
+    the cell runs from the node before the first of them to the first
+    node after it that is not one.  The root of the elasticity
+    b c'(b)/c(b) (c' by mpmath.diff with a step relative to b) is solved
+    on the cell by findroot's Illinois method, which keeps a sign change
+    bracketed (its residual check is off: c' comes from numerical
+    differentiation, whose noise can exceed the check's tolerance while
+    the root is exact).  The elasticity is of size 1 at any scale of b and
+    c, where c' itself (1e-150 at mu = 1e300) would pass findroot's
+    absolute tolerance at once.  When b = 0 ties (a low strip, or a
+    minimum too close to 0 for floats to resolve), the minimum sits at 0
+    unless the elasticity is already negative just above 0; then its root
+    between there and the cell's end is the argmin.
     """
     with mpmath.workdps(dps):
         D, d, mu, fp0 = (mpmath.mpf(x) for x in (params.D, params.d, params.mu,
@@ -135,26 +141,29 @@ def mp_crossing_minimum(params: ModelParams, problem: str, L: float | None = Non
             top = mpmath.sqrt((c0 * road_sup - fp0) / d)
         else:
             top = mpmath.sqrt(c0 * c0 - 4 * d * fp0) / (2 * d)
-        betas = np.linspace(0.0, float(top), n_scan)
-        k = int(np.argmin(_float_crossing_speeds(betas, float(road), float(field), params,
-                                                 problem, L)))
-        assert k < n_scan - 1, "the crossing curve's minimum lies past the scan"
+        betas = np.concatenate([[0.0], np.geomspace(float(top) * 1e-100, float(top),
+                                                    n_scan - 1)])
+        speeds = _float_crossing_speeds(betas, float(road), float(field), params, problem, L)
+        # c(b) is flat to rounding near its minimum (and the strip's near
+        # b = 0), where a rounding error can pick any node as the least
+        tied = speeds <= speeds.min() * (1.0 + 16.0 * np.finfo(float).eps)
+        k = int(np.argmax(tied))
+        above = np.flatnonzero(~tied[k + 1:])
+        assert above.size, "the crossing curve's minimum lies past the scan"
+        right = mpmath.mpf(float(betas[k + 1 + above[0]]))
 
-        def slope(b):
-            return mpmath.diff(speed, b)
+        def elasticity(b):
+            return b * mpmath.diff(speed, b, relative=True) / speed(b)
 
-        if k <= 1:
-            # the strip's dc/db vanishes at b = 0, where the even c(b) has its
+        if k == 0:
+            # the strip's c'(b) vanishes at b = 0, where the even c(b) has its
             # other stationary point, so the cell starts just above 0
-            right = mpmath.mpf(float(betas[k + 1]))
-            tiny = right * mpmath.mpf("1e-20")
-            if slope(tiny) >= 0:
+            left = right * mpmath.mpf("1e-20")
+            if elasticity(left) >= 0:
                 return float(c0), 0.0
-            b = mpmath.findroot(slope, (tiny, right), solver="illinois", verify=False)
         else:
-            b = mpmath.findroot(slope, (mpmath.mpf(float(betas[k - 1])),
-                                        mpmath.mpf(float(betas[k + 1]))),
-                                solver="illinois", verify=False)
+            left = mpmath.mpf(float(betas[k - 1]))
+        b = mpmath.findroot(elasticity, (left, right), solver="illinois", verify=False)
         return float(speed(b)), float(b)
 
 
@@ -168,7 +177,8 @@ def _float_crossing_speeds(b: np.ndarray, road: float, field: float, params: Mod
         g[x > 0] = np.tanh(x[x > 0]) / x[x > 0]
         h = mu * d / (d + L * g)
     else:
-        h = mu * d * b / (1.0 + d * b)
+        # mu d b overflows at mu = 1e300, d b/(1 + d b) <= 1 never does
+        h = mu * (d * b / (1.0 + d * b))
     q = params.f_prime_0 + d * b * b
     return (road * q + field * h) / np.sqrt((road - field) * (h + q))
 

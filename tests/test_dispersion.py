@@ -864,6 +864,18 @@ def test_every_speed_is_the_50_digit_minimum_of_its_crossing_curve():
     assert misses == []
 
 
+@pytest.mark.parametrize("d, fp0", [(1.0, 1.0), (0.2, 5.0), (5.0, 0.2), (1e-8, 1e8)])
+@pytest.mark.parametrize("mu", [1e40, 1e200, 1e300])
+def test_limit_speed_is_the_50_digit_minimum_at_a_huge_exchange_rate(mu, d, fp0):
+    # the limit speed falls like mu^(-1/2) (2.2e-150 at mu = 1e300, d = f'(0) = 1)
+    # while its argmin stays at b = 0.455/d, 75 decades below the top of the
+    # oracle's scan at mu = 1e300
+    p = make(4.0 * d, d=d, mu=mu, fp0=fp0)
+    c = rf.limit_speed(p)
+    ref, _ = mp_crossing_minimum(p, "limit")
+    assert abs(c - ref) <= ORACLE_EPS_BOUND * np.finfo(float).eps * ref
+
+
 @pytest.mark.parametrize("L", [30.0, 60.0, 200.0])
 def test_tall_strip_bracket_stays_under_the_half_plane_bracket(L):
     # at these heights c* - c_L falls below tol: the strip bracket must still

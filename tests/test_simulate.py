@@ -713,11 +713,15 @@ def test_padded_kernel_equals_the_reference_kernel(nx, ny, substeps, batch, reac
     # last one left in the ghosts; nx = 2 is the folded half of a 3-column
     # run (a road buffer of 4, where each mirror ghost's source is the other
     # end's interior node), nx = 3 and ny = 3 are the smallest grids, nx = 8
-    # is even (no fold)
+    # is even (no fold).  Every array of the set starts as NaN, so a node
+    # read before the kernel writes it would show; fresh np.empty pages are
+    # usually zero and would hide such a read
     f = {"logistic": P10.reaction, "sqrt": _sqrt_reaction(), None: None}[reaction]
     rng = np.random.default_rng(nx * 100 + ny)
     u, v = _random_batch(rng, batch, nx, ny)
     buf = simulate._Buffers(u, v)
+    _fill_with_nan(buf)
+    buf.load(u, v)
     for _ in range(4):
         simulate._advance(buf, P10, 0.002, 0.5, 0.25, f, substeps)
         u, v = oracles.reference_advance(u, v, P10, 0.002, 0.5, 0.25, f, substeps)
@@ -882,6 +886,19 @@ def test_a_run_with_an_equal_custom_logistic_is_bit_identical():
 
 def _random_batch(rng, shape, nx, ny):
     return rng.random(shape + (nx,)), rng.random(shape + (nx, ny))
+
+
+def _fill_with_nan(buf):
+    """Set every array of a buffer set to NaN: padded buffers, ghosts and temporaries."""
+    filled = 0
+    for name in simulate._Buffers.__slots__:
+        a = getattr(buf, name, None)
+        if isinstance(a, (simulate._Road, simulate._Field)):
+            a = a.inner.base
+        if isinstance(a, np.ndarray) and a.flags.writeable:
+            a.fill(np.nan)
+            filled += 1
+    assert filled >= 4
 
 
 @settings(max_examples=60, deadline=None)
